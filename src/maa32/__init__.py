@@ -39,17 +39,31 @@ from .core import (
     process_segment,
     segment,
 )
-from .vectors import (
-    MacTrace,
-    VectorCase,
-    VectorFormatError,
-    VectorReport,
-    builtin_corpus,
-    emit_trace,
-    parse_vector_file,
-    parse_vector_text,
-    run_vectors,
+
+# The vector corpus and its tools load on first use (PEP 562), so that
+# importing the package for mac or mac_bytes does not build the corpus.
+_VECTOR_NAMES = frozenset(
+    {
+        "MacTrace",
+        "VectorCase",
+        "VectorFormatError",
+        "VectorReport",
+        "builtin_corpus",
+        "emit_trace",
+        "parse_vector_file",
+        "parse_vector_text",
+        "run_vectors",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _VECTOR_NAMES:
+        from . import vectors
+
+        return getattr(vectors, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __version__ = "1.0.0"
 

@@ -42,6 +42,13 @@ if FIX1_SET & FIX1_KEEP != FIX1_SET or FIX2_SET & FIX2_KEEP != FIX2_SET:
     raise AssertionError("fix mask constants are inconsistent")
 
 
+# Every byte of a block pair set to 01, to 80 and to FF, for byt_pat's
+# test for a 00 or FF byte.
+_BYTES_01 = 0x0101010101010101
+_BYTES_80 = 0x8080808080808080
+_BYTES_FF = 0xFFFFFFFFFFFFFFFF
+
+
 class ConditioningResult(NamedTuple):
     first: int
     second: int
@@ -94,7 +101,8 @@ def fix2(x: int) -> int:
 
 
 def _mul1_parts(x: int, y: int) -> tuple[int, int]:
-    """Folded sum and carry for mul1, exposed so tests can watch the carry."""
+    """Folded sum and carry of mul1's fold, in word operations, for tests
+    that watch the carry; mul1 itself computes the same fold inline."""
     u = high_mul(x, y)
     l = low_mul(x, y)
     s = add(u, l)
@@ -109,23 +117,28 @@ def mul1(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 1 by end-around carry.
 
     Returns the representative the fold produces; for a product congruent
-    to zero that can be 0xFFFFFFFF rather than 0.  The final add cannot
-    overflow: when the carry is 1 the folded sum is at most 0xFFFFFFFE.
+    to zero that can be 0xFFFFFFFF rather than 0.  Adds the product's high
+    half to its low half, then the carry of that sum back in; the last
+    addition cannot overflow, because when the carry is 1 the folded sum
+    is at most 0xFFFFFFFE.
     """
-    s, c = _mul1_parts(x, y)
-    return add(s, c)
+    p = x * y
+    s = (p >> 32) + (p & MASK)
+    return (s & MASK) + (s >> 32)
 
 
 def mul2(x: int, y: int) -> int:
-    """Multiply modulo 2**32 - 2: carries fold back with weight two."""
-    u = high_mul(x, y)
-    l = low_mul(x, y)
-    f = add(add(u, u), add(car(u, u), car(u, u)))
-    s = add(f, l)
-    c = car(f, l)
-    # f + 2*car(u,u) <= 0xFFFFFFFE and, when c is 1, s <= 0xFFFFFFFD,
-    # so neither doubling-fold can itself overflow.
-    return add(s, add(c, c))
+    """Multiply modulo 2**32 - 2: carries fold back with weight two.
+
+    The high half u is doubled with its own carry folded back (at most
+    0xFFFFFFFE), added to the low half, and that carry is folded back
+    doubled; when it is 1 the sum is at most 0xFFFFFFFD, so neither fold
+    can itself overflow.
+    """
+    p = x * y
+    u = (p >> 32) << 1
+    s = (u & MASK) + ((u >> 32) << 1) + (p & MASK)
+    return (s & MASK) + ((s >> 32) << 1)
 
 
 def mul2a(x: int, y: int) -> int:
@@ -138,12 +151,9 @@ def mul2a(x: int, y: int) -> int:
     Total for all inputs; callers outside that range just get the cheaper
     fold's answer.
     """
-    u = high_mul(x, y)
-    l = low_mul(x, y)
-    f = add(u, u)
-    s = add(f, l)
-    c = car(f, l)
-    return add(s, add(c, c))
+    p = x * y
+    s = ((p >> 31) & 0xFFFFFFFE) + (p & MASK)
+    return (s & MASK) + ((s >> 32) << 1)
 
 
 def byt_pat(a: int, b: int) -> ConditioningResult:
@@ -154,18 +164,22 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
     00 or FF; an offending byte is then replaced by its XOR with the
     updated P.  The final P is returned as the pattern: nonzero exactly
     when some byte was rewritten, and it distinguishes most positional
-    arrangements of rewritten bytes.
+    arrangements of rewritten bytes.  Eight doublings of a register that
+    starts at 0 never carry past its eighth bit, so P needs no mask.
     """
-    raw = bytearray(a.to_bytes(4, "big") + b.to_bytes(4, "big"))
+    x = (a << 32) | b
+    ones = x ^ _BYTES_FF
+    # x has a 00 byte exactly when (x - 0101..01) & ~x & 8080..80 is
+    # nonzero, and an FF byte exactly when ~x has a 00 byte.
+    if not ((x - _BYTES_01) & ones | (ones - _BYTES_01) & x) & _BYTES_80:
+        return ConditioningResult(a, b, 0)
     p = 0
-    for i in range(8):
-        p = (2 * p) & 0xFF
-        if raw[i] in (0x00, 0xFF):
+    for shift in range(56, -8, -8):
+        p <<= 1
+        if ((x >> shift) + 1) & 0xFF < 2:  # byte 00 or FF
             p += 1
-            raw[i] ^= p
-    return ConditioningResult(
-        int.from_bytes(raw[:4], "big"), int.from_bytes(raw[4:], "big"), p
-    )
+            x ^= p << shift
+    return ConditioningResult(x >> 32, x & MASK, p)
 
 
 def block_to_octets(x: int) -> tuple[int, int, int, int]:

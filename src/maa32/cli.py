@@ -8,23 +8,33 @@ corpus plus optional vector files), ``bench`` (throughput measurement) and
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
 or I/O errors, 3 message too long, 4 selftest or vector failure.
 
-Binary input is consumed as a stream of 4-byte big-endian blocks, so
-arbitrarily large files run in constant memory; with ``--hex`` the input is
-read as hex digits with all whitespace ignored.
+Binary input is consumed as a stream of 4-byte big-endian blocks, read a
+256-block segment at a time, so arbitrarily large files run in constant
+memory; a regular file over the length cap is refused before it is read.
+With ``--hex`` the input is read as hex digits with all whitespace ignored.
+
+The vector corpus (``vectors``) is imported only by the commands that use
+it, so that ``mac`` and ``verify`` start without building it.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
+import io
+import os
+import stat
 import sys
 import time
-from typing import Iterator
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
-from . import core, vectors
+from . import core
 from .blocks import block_hex, byt_pat, fix2, mul1, mul2, mul2a
-from .core import Key, MessageTooLong, mac, make_message, pad_message
+from .core import Key, MessageTooLong, make_message, pad_message
 from .oracle import MODULUS_ONES, MODULUS_TWOS, mod_mul_ref
+
+if TYPE_CHECKING:
+    import random
 
 _STANDARD_BENCH_KEY = Key(0xE6A12F07, 0x9D15C437)
 
@@ -111,42 +121,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stream_blocks(path: str) -> Iterator[int]:
-    fh = sys.stdin.buffer if path == "-" else open(path, "rb")
-    try:
-        while True:
-            chunk = fh.read(4)
-            if not chunk:
-                return
-            if len(chunk) < 4:
-                chunk += b"\x00" * (4 - len(chunk))
-            yield int.from_bytes(chunk, "big")
-    finally:
-        if path != "-":
-            fh.close()
-
-
-def _hex_blocks(path: str) -> list[int]:
-    text = sys.stdin.read() if path == "-" else open(path, "r").read()
+def _hex_bytes(path: str) -> bytes:
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r") as fh:
+            text = fh.read()
     digits = "".join(text.split())
     if len(digits) % 2 or not all(c in "0123456789abcdefABCDEF" for c in digits):
         raise ValueError("input is not an even run of hex digits")
-    return pad_message(bytes.fromhex(digits))
+    return bytes.fromhex(digits)
 
 
-def _input_blocks(args):
+@contextmanager
+def _input_stream(args) -> Iterator[BinaryIO]:
+    """The input as a binary stream, open for the duration of the block.
+
+    A regular file over the length cap is refused here, before it is read.
+    """
     if args.hex:
-        return _hex_blocks(args.input)
-    return _stream_blocks(args.input)
+        yield io.BytesIO(_hex_bytes(args.input))
+    elif args.input == "-":
+        yield sys.stdin.buffer
+    else:
+        with open(args.input, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                core._check_byte_count(info.st_size)
+            yield fh
+
+
+def _input_mac(args) -> int:
+    with _input_stream(args) as stream:
+        return core._mac_stream(args.key, stream)
 
 
 def _cmd_mac(args) -> int:
-    print(block_hex(mac(args.key, _input_blocks(args))))
+    print(block_hex(_input_mac(args)))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    computed = mac(args.key, _input_blocks(args))
+    computed = _input_mac(args)
     if computed == args.mac:
         return 0
     print(
@@ -157,7 +173,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    blocks = list(_input_blocks(args))
+    from . import vectors
+
+    with _input_stream(args) as stream:
+        blocks = pad_message(stream.read())
     text = vectors.emit_trace(args.key, blocks).render()
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -210,6 +229,10 @@ def _spot_checks(rng: random.Random, samples: int) -> list[tuple[str, bool, str]
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
+    from . import vectors
+
     groups: list[tuple[list[vectors.VectorCase], str]] = []
     builtin = vectors.builtin_corpus()
     if args.inject_fault:
@@ -270,7 +293,7 @@ def _cmd_bench(args) -> int:
     message = make_message(args.blocks)
     pre = core.prelude(_STANDARD_BENCH_KEY)
     start = time.perf_counter()
-    value = core._chain_segments(pre, message)
+    value = core._chain_segments(pre, core.segment(message))
     elapsed = time.perf_counter() - start
     rate = args.blocks / elapsed if elapsed > 0 else float("inf")
     print(

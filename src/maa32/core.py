@@ -7,13 +7,16 @@ to a block boundary).  Authentication runs in three phases:
   powers under both near-2**32 moduli, the power pairs are XOR-combined,
   and the results are byte-conditioned into six working values: two
   multiplier accumulators X0 and Y0, a rotating word V0 with its XOR mask
-  W, and two trailer blocks S and T.  This depends only on the key and is
-  computed once per message.
+  W, and two trailer blocks S and T.  This depends only on the key, so
+  the results for the most recently used keys are cached: many messages
+  under one key pay for the expansion once.
 * main loop: per message block M, rotate V, derive E = V XOR W, then
       X := mul1(X XOR M, fix1(E + Y))
       Y := mul2a(Y XOR M, fix2(E + X))
   where the Y update reads the freshly updated X.  fix2 keeps its output
-  below 2**31, which is what makes mul2a safe here.
+  below 2**31, which is what makes mul2a safe here.  V rotates one bit
+  per block, so the i-th E is rot(V0, i) XOR W and repeats every 32
+  blocks.
 * coda: two extra loop iterations with M = S and M = T, then the result
   is X XOR Y.
 
@@ -22,11 +25,20 @@ split into 256-block segments, authenticate the first, then prepend each
 intermediate result to the next segment (a 257-block unit) and continue.
 The last result is the MAC.  A message of exactly 256 blocks is a single
 segment.  Messages of 1,000,000 blocks or more are rejected.
+
+Every input reaches the segment kernel through one chaining loop, which
+takes the message one segment at a time: bytes are read and unpacked a
+segment at a time, and blocks from an iterable are checked a segment at
+a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+import io
+import struct
+from functools import lru_cache
+from itertools import chain, islice
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import (
     FIX1_KEEP,
@@ -45,6 +57,13 @@ from .blocks import (
 
 SEGMENT_BLOCKS = 256
 MAX_MESSAGE_BLOCKS = 1_000_000  # first rejected length
+SEGMENT_BYTES = 4 * SEGMENT_BLOCKS
+# Longest accepted byte input: one byte more pads to MAX_MESSAGE_BLOCKS.
+MAX_MESSAGE_BYTES = 4 * (MAX_MESSAGE_BLOCKS - 1)
+
+# Keys whose prelude is kept.  Covers the keys in use at once in
+# many-message traffic; a key beyond it costs one expansion per miss.
+PRELUDE_CACHE_SIZE = 64
 
 # Block i (1-based) of the deterministic test-message generator.
 _GEN_STEP = 0x9E3779B9
@@ -87,12 +106,15 @@ class LoopState(NamedTuple):
 
 def pad_message(data: bytes) -> list[int]:
     """Pack bytes into big-endian blocks, zero-filling the last one."""
-    blocks = []
-    for i in range(0, len(data), 4):
-        chunk = data[i : i + 4]
-        if len(chunk) < 4:
-            chunk = chunk + b"\x00" * (4 - len(chunk))
-        blocks.append(int.from_bytes(chunk, "big"))
+    return list(_unpack_blocks(data))
+
+
+def _unpack_blocks(data: bytes) -> tuple[int, ...]:
+    """Big-endian blocks of data, zero-filling the last one."""
+    full, rest = divmod(len(data), 4)
+    blocks = struct.unpack_from(">%dI" % full, data)
+    if rest:
+        blocks += (int.from_bytes(data[-rest:], "big") << (32 - 8 * rest),)
     return blocks
 
 
@@ -146,10 +168,20 @@ def prelude_intermediate(key: Key) -> PreludeIntermediate:
 def prelude(key: Key) -> PreludeOutput:
     """Derive the six working values from the key.
 
-    Pure: equal keys give equal output, so it is computed once per
-    message regardless of segmentation.
+    Pure: equal keys give equal output, so the results for the
+    PRELUDE_CACHE_SIZE most recently used keys are cached.  The key words
+    are checked first: a word must be an int (a bool or a float would
+    share a cache entry with an equal int) in the 32-bit range.
     """
-    h = prelude_intermediate(key)
+    j, k = key
+    _validate_block(j)
+    _validate_block(k)
+    return _cached_prelude(j, k)
+
+
+@lru_cache(maxsize=PRELUDE_CACHE_SIZE)
+def _cached_prelude(j: int, k: int) -> PreludeOutput:
+    h = prelude_intermediate(Key(j, k))
     x0, y0, _ = byt_pat(h.h4, h.h5)
     v0, w, _ = byt_pat(h.h6, h.h7)
     s, t, _ = byt_pat(h.h8, h.h9)
@@ -172,7 +204,7 @@ def coda(state: LoopState, w: int, s: int, t: int) -> int:
     return state.x ^ state.y
 
 
-def process_segment(pre: PreludeOutput, blocks: list[int]) -> int:
+def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     """Authenticate one segment unit (at most 257 blocks: chaining + 256).
 
     Equivalent to folding main_loop_step over the blocks from the prelude
@@ -181,24 +213,28 @@ def process_segment(pre: PreludeOutput, blocks: list[int]) -> int:
     """
     if len(blocks) > SEGMENT_BLOCKS + 1:
         raise ValueError("segment unit longer than %d blocks" % (SEGMENT_BLOCKS + 1))
-    x, y, v = pre.x0, pre.y0, pre.v0
-    w = pre.w
+    x, y = pre.x0, pre.y0
+    v, w = pre.v0, pre.w
     mask = MASK
     a, c = FIX1_SET, FIX1_KEEP
     b, d = FIX2_SET, FIX2_KEEP
-    for m in blocks:
+    # E = rot(V0, i) ^ W for block i (1-based) has period 32, so 32 entries
+    # repeated 9 times cover a 257-block unit and the two coda blocks,
+    # which take E[n] and E[n + 1] after n message blocks.  A shorter unit
+    # needs only its first n + 2 entries.
+    period = min(len(blocks) + 2, 32)
+    table = [(((v << i) | (v >> (32 - i))) & mask) ^ w for i in range(1, period + 1)] * 9
+    for m, e in zip(chain(blocks, (pre.s, pre.t)), table):
         # Inlined main_loop_step.  The mul1 fold (s & mask) + carry cannot
         # exceed the mask; the mul2a fold doubles its carry, and its high
         # half is below 2**31 because the fix2 operand is.
-        v = ((v << 1) | (v >> 31)) & mask
-        e = v ^ w
         p = (x ^ m) * ((((e + y) & mask) | a) & c)
         s = (p >> 32) + (p & mask)
         x = (s & mask) + (s >> 32)
         p = (y ^ m) * ((((e + x) & mask) | b) & d)
         s = ((p >> 32) << 1) + (p & mask)
         y = (s & mask) + ((s >> 32) << 1)
-    return coda(LoopState(x, y, v), w, pre.s, pre.t)
+    return x ^ y
 
 
 def segment(message: list[int]) -> list[list[int]]:
@@ -212,7 +248,9 @@ def mac(key: Key, message: Iterable[int]) -> int:
     """Authenticate a message given as an iterable of blocks.
 
     Single forward pass; buffers at most one segment at a time, so any
-    iterator works (files, generators).  Raises MessageTooLong as soon as
+    iterator works (files, generators).  Every block must be an int in
+    the 32-bit range.  Raises MessageTooLong up front for a sized message
+    of MAX_MESSAGE_BLOCKS blocks or more, and for any other as soon as
     the millionth block is consumed.
     """
     pre = prelude(key)
@@ -220,59 +258,92 @@ def mac(key: Key, message: Iterable[int]) -> int:
         known = len(message)  # type: ignore[arg-type]
     except TypeError:
         known = None
-    if known is None:
-        return _chain_segments(pre, _limited(message))
-    if known >= MAX_MESSAGE_BLOCKS:
+    if known is not None and known >= MAX_MESSAGE_BLOCKS:
         raise MessageTooLong(
             "message has %d blocks; limit is %d" % (known, MAX_MESSAGE_BLOCKS)
         )
-    return _chain_segments(pre, message)
+    return _chain_segments(pre, _block_segments(message))
 
 
-def _limited(message: Iterable[int]) -> Iterator[int]:
+def mac_bytes(key: Key, data: bytes) -> int:
+    """Authenticate bytes, zero-filled to a block boundary.
+
+    Raises MessageTooLong before any other work for more than
+    MAX_MESSAGE_BYTES bytes.
+    """
+    _check_byte_count(len(data))
+    return _mac_stream(key, io.BytesIO(data))
+
+
+def _mac_stream(key: Key, stream: BinaryIO) -> int:
+    """The MAC of the bytes read from a binary stream, a segment at a time.
+
+    Raises MessageTooLong once more than MAX_MESSAGE_BYTES bytes are read.
+    """
+    return _chain_segments(prelude(key), _read_segments(stream))
+
+
+def _read_segments(stream: BinaryIO) -> Iterator[tuple[int, ...]]:
+    """The stream's blocks, one read per segment; no bytes is one empty segment."""
+    total = 0
+    while True:
+        chunk = stream.read(SEGMENT_BYTES)  # a buffered read is short only at the end
+        total += len(chunk)
+        _check_byte_count(total)
+        if chunk or not total:
+            yield _unpack_blocks(chunk)
+        if len(chunk) < SEGMENT_BYTES:
+            return
+
+
+def _chain_segments(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> int:
+    """The segmentation engine, without the message-length policy.
+
+    Takes the message as segments of 256 blocks, the last one shorter or
+    (for an empty message only) empty, and prepends each intermediate
+    result to the next segment; the throughput benchmark drives this
+    directly, since the length cap belongs to the mac interface, not to
+    the arithmetic.
+    """
+    it = iter(segments)
+    unit = next(it)
+    for seg in it:
+        unit = (process_segment(pre, unit), *seg)
+    return process_segment(pre, unit)
+
+
+def _block_segments(message: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Checked blocks of message, a segment at a time; no blocks is one empty segment.
+
+    Raises MessageTooLong once the millionth block is consumed.
+    """
+    it = iter(message)
     count = 0
-    for m in message:
-        count += 1
+    while True:
+        seg = tuple(islice(it, min(SEGMENT_BLOCKS, MAX_MESSAGE_BLOCKS - count)))
+        if seg and (set(map(type, seg)) != {int} or min(seg) < 0 or max(seg) > MASK):
+            for m in seg:
+                _validate_block(m)
+        count += len(seg)
         if count >= MAX_MESSAGE_BLOCKS:
             raise MessageTooLong(
                 "message reached %d blocks; limit is %d" % (count, MAX_MESSAGE_BLOCKS)
             )
-        yield m
+        if seg or not count:
+            yield seg
+        if len(seg) < SEGMENT_BLOCKS:
+            return
 
 
-def _chain_segments(pre: PreludeOutput, message: Iterable[int]) -> int:
-    """The segmentation engine, without the message-length policy.
-
-    Each intermediate result is prepended to the next 256-block segment;
-    the throughput benchmark drives this directly, since the length cap
-    belongs to the mac interface, not to the arithmetic.
-    """
-    it = iter(message)
-    unit = _take_segment(it)
-    z = None
-    while True:
-        nxt = _take_segment(it)
-        z = process_segment(pre, unit if z is None else [z] + unit)
-        if not nxt:
-            return z
-        unit = nxt
-
-
-def mac_bytes(key: Key, data: bytes) -> int:
-    return mac(key, pad_message(data))
-
-
-def _take_segment(it: Iterator[int]) -> list[int]:
-    seg = []
-    for m in it:
-        if not 0 <= m <= MASK:
-            raise ValueError("message block out of 32-bit range: %r" % (m,))
-        seg.append(m)
-        if len(seg) == SEGMENT_BLOCKS:
-            break
-    return seg
+def _check_byte_count(n_bytes: int) -> None:
+    if n_bytes > MAX_MESSAGE_BYTES:
+        raise MessageTooLong(
+            "message has %d bytes; limit is %d" % (n_bytes, MAX_MESSAGE_BYTES)
+        )
 
 
 def _validate_block(value: int) -> None:
+    if type(value) is not int:
+        raise ValueError("block is not an int: %r" % (value,))
     if not 0 <= value <= MASK:
         raise ValueError("block out of 32-bit range: %r" % (value,))

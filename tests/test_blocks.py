@@ -185,6 +185,89 @@ class TestMul2a:
         )
 
 
+# mul1, mul2, mul2a and byt_pat as compositions of the word operations
+# (product halves, add, carry) and a byte-array scan.  The primitives fold
+# in fewer steps; they must return exactly these representatives, not
+# merely congruent ones, because the MAC depends on the representative.
+
+
+def composed_mul1(x, y):
+    u, l = high_mul(x, y), low_mul(x, y)
+    return add(add(u, l), car(u, l))
+
+
+def composed_mul2(x, y):
+    u, l = high_mul(x, y), low_mul(x, y)
+    f = add(add(u, u), add(car(u, u), car(u, u)))
+    s, c = add(f, l), car(f, l)
+    return add(s, add(c, c))
+
+
+def composed_mul2a(x, y):
+    u, l = high_mul(x, y), low_mul(x, y)
+    f = add(u, u)
+    s, c = add(f, l), car(f, l)
+    return add(s, add(c, c))
+
+
+def scanned_byt_pat(a, b):
+    raw = bytearray(a.to_bytes(4, "big") + b.to_bytes(4, "big"))
+    p = 0
+    for i in range(8):
+        p = (2 * p) & 0xFF
+        if raw[i] in (0x00, 0xFF):
+            p += 1
+            raw[i] ^= p
+    return int.from_bytes(raw[:4], "big"), int.from_bytes(raw[4:], "big"), p
+
+
+@st.composite
+def near_wrap_pairs(draw):
+    """Pairs whose product lies within a few units of a multiple of 2**32."""
+    x = draw(st.integers(min_value=1, max_value=0xFFFFFFFF))
+    k = draw(st.integers(min_value=0, max_value=x - 1))
+    y = (k << 32) // x + draw(st.integers(min_value=-2, max_value=2))
+    return x, min(max(y, 0), 0xFFFFFFFF)
+
+
+# Blocks whose bytes are often 00 or FF, so byt_pat rewrites some of them.
+dirty_u32 = st.lists(
+    st.sampled_from([0x00, 0xFF]) | st.integers(0, 255), min_size=4, max_size=4
+).map(lambda raw: int.from_bytes(bytes(raw), "big"))
+
+MULS = [(mul1, composed_mul1), (mul2, composed_mul2), (mul2a, composed_mul2a)]
+
+
+class TestExactRepresentatives:
+    @pytest.mark.parametrize("fast,composed", MULS)
+    @pytest.mark.parametrize("x", EDGE)
+    @pytest.mark.parametrize("y", EDGE)
+    def test_edge_corners(self, fast, composed, x, y):
+        assert fast(x, y) == composed(x, y)
+
+    @pytest.mark.parametrize("fast,composed", MULS)
+    @given(pair=st.tuples(u32, u32) | near_wrap_pairs())
+    @settings(max_examples=400)
+    def test_multiplications(self, fast, composed, pair):
+        assert fast(*pair) == composed(*pair)
+
+    def test_mul1_keeps_the_all_ones_representative(self):
+        # 0xFFFF * 0x10001 = 2**32 - 1: congruent to 0, returned as 0xFFFFFFFF.
+        assert composed_mul1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
+        assert mul1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
+        assert mul1(0xFFFFFFFF, 1) == composed_mul1(0xFFFFFFFF, 1) == 0xFFFFFFFF
+
+    @pytest.mark.parametrize("a", EDGE)
+    @pytest.mark.parametrize("b", EDGE)
+    def test_byt_pat_edge_corners(self, a, b):
+        assert byt_pat(a, b) == scanned_byt_pat(a, b)
+
+    @given(u32 | dirty_u32, u32 | dirty_u32)
+    @settings(max_examples=400)
+    def test_byt_pat(self, a, b):
+        assert byt_pat(a, b) == scanned_byt_pat(a, b)
+
+
 # Byte conditioning answers published with the algorithm's own test data.
 CONDITIONING_VECTORS = [
     ((0x00000003, 0x00000060), (0x01030703, 0x1D3B7760), 0xEE),

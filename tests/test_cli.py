@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from maa32.core import Key, mac_bytes, make_message
+from maa32.core import MAX_MESSAGE_BYTES, Key, mac_bytes, make_message
+from test_core import edge_messages, mixed_keys, stepwise_mac
 
 KEY = "E6A12F07:9D15C437"
 KEY_OBJ = Key(0xE6A12F07, 0x9D15C437)
@@ -89,6 +91,59 @@ class TestMacCommand:
     def test_bad_hex_input_is_error(self):
         proc = run_cli("mac", "--key", KEY, "--hex", stdin=b"zz")
         assert proc.returncode == 2
+
+
+class TestStreamReader:
+    """The segment-at-a-time reader: files, pipes, hex and the length cap."""
+
+    @given(mixed_keys, edge_messages)
+    @settings(max_examples=8, deadline=None)
+    def test_file_and_pipe_equal_stepwise_fold(self, tmp_path_factory, key, data):
+        path = tmp_path_factory.mktemp("msg") / "m.bin"
+        path.write_bytes(data)
+        key_text = "%08X:%08X" % key
+        want = b"%08X\n" % stepwise_mac(key, data)
+        from_file = run_cli("mac", "--key", key_text, str(path))
+        from_pipe = run_cli("mac", "--key", key_text, stdin=data)
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_pipe.returncode == 0, from_pipe.stderr
+        assert from_file.stdout == from_pipe.stdout == want
+
+    def test_file_at_the_cap_is_accepted_one_byte_over_exits_3(self, tmp_path):
+        data = bytes(range(256)) * (MAX_MESSAGE_BYTES // 256) + bytes(MAX_MESSAGE_BYTES % 256)
+        at_cap = tmp_path / "at-cap.bin"
+        at_cap.write_bytes(data)
+        over = tmp_path / "over.bin"
+        over.write_bytes(data + b"x")
+        accepted = run_cli("mac", "--key", KEY, str(at_cap))
+        assert accepted.returncode == 0, accepted.stderr
+        assert accepted.stdout == b"%08X\n" % mac_bytes(KEY_OBJ, data)
+        refused = run_cli("mac", "--key", KEY, str(over))
+        assert refused.returncode == 3, refused.stderr
+        assert refused.stdout == b""
+
+    def test_pipe_over_the_cap_exits_3(self):
+        proc = run_cli("mac", "--key", KEY, stdin=bytes(MAX_MESSAGE_BYTES + 1))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == b""
+
+    def test_directory_input_is_io_error(self, tmp_path):
+        proc = run_cli("mac", "--key", KEY, str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr
+
+    def test_hex_file_is_closed(self, tmp_path):
+        path = tmp_path / "m.hex"
+        path.write_text("4245 0A0A\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "maa32"]
+            + ["mac", "--key", KEY, "--hex", str(path)],
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"%08X\n" % mac_bytes(KEY_OBJ, bytes.fromhex("42450A0A"))
+        assert proc.stderr == b""
 
 
 class TestVerifyCommand:

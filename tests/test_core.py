@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from maa32 import blocks, core, oracle
 from maa32.core import (
+    MAX_MESSAGE_BLOCKS,
+    MAX_MESSAGE_BYTES,
     Key,
     LoopState,
     MessageTooLong,
@@ -23,6 +25,39 @@ from maa32.core import (
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 keys = st.builds(Key, u32, u32)
+
+# Keys with a 00 or FF byte take the conditioned prelude; clean keys do not.
+_key_bytes = st.sampled_from([0x00, 0xFF]) | st.integers(1, 254)
+dirty_keys = st.lists(_key_bytes, min_size=8, max_size=8).map(
+    lambda raw: Key(int.from_bytes(bytes(raw[:4]), "big"), int.from_bytes(bytes(raw[4:]), "big"))
+)
+mixed_keys = keys | dirty_keys
+
+# Byte lengths at and around the ends of the first segments (1024 bytes each).
+EDGE_LENGTHS = [
+    *range(0, 4),
+    *range(1021, 1030),
+    *range(2045, 2054),
+    *range(4093, 4100),
+]
+edge_messages = st.sampled_from(EDGE_LENGTHS).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+
+
+def stepwise_mac(key, data):
+    """The MAC by the spec's steps: pad, split, fold main_loop_step, coda, chain."""
+    data = data + bytes(-len(data) % 4)
+    message = [int.from_bytes(data[i : i + 4], "big") for i in range(0, len(data), 4)]
+    pre = prelude(key)
+    z = None
+    for start in range(0, max(len(message), 1), 256):
+        unit = ([] if z is None else [z]) + message[start : start + 256]
+        state = LoopState(pre.x0, pre.y0, pre.v0)
+        for m in unit:
+            state = main_loop_step(state, pre.w, m)
+        z = coda(state, pre.w, pre.s, pre.t)
+    return z
 
 # The key the algorithm's published end-to-end test data uses.
 STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
@@ -132,6 +167,23 @@ class TestPrelude:
     def test_rejects_out_of_range_key(self):
         with pytest.raises(ValueError):
             prelude(Key(2**32, 0))
+
+    @pytest.mark.parametrize(
+        "bad", [Key(1.0, 2), Key(True, 2), Key(1, 2.0), Key(1, True), Key("1", 2)]
+    )
+    def test_rejects_non_int_key_words_even_when_an_equal_key_is_cached(self, bad):
+        # 1.0 and True hash and compare equal to 1, so a cache keyed on
+        # them could hand back Key(1, 2)'s prelude.
+        prelude(Key(1, 2))
+        with pytest.raises(ValueError):
+            prelude(bad)
+        with pytest.raises(ValueError):
+            mac_bytes(bad, b"abcd")
+
+    @given(mixed_keys)
+    def test_cached_result_equals_a_fresh_expansion(self, key):
+        prelude(key)
+        assert prelude(key) == core._cached_prelude.__wrapped__(*key)
 
 
 class TestMainLoop:
@@ -270,6 +322,45 @@ class TestMac:
         with pytest.raises(ValueError):
             mac(STANDARD_KEY, [0, 2**32])
 
+    @pytest.mark.parametrize("bad", [1.0, True, -1, "1", None])
+    def test_rejects_non_int_blocks(self, bad):
+        for message in ([0, bad], iter([0, bad]), [0] * 300 + [bad]):
+            with pytest.raises(ValueError):
+                mac(STANDARD_KEY, message)
+
+    def test_byte_cap_is_the_block_cap(self):
+        # The longest accepted byte input pads to one block under the cap.
+        assert (MAX_MESSAGE_BYTES + 3) // 4 == MAX_MESSAGE_BLOCKS - 1
+        assert (MAX_MESSAGE_BYTES + 1 + 3) // 4 == MAX_MESSAGE_BLOCKS
+
+    def test_bytes_over_the_cap_rejected_up_front(self):
+        # The refusal comes before the key is expanded.
+        with pytest.raises(MessageTooLong):
+            mac_bytes(Key(1.0, 2), bytes(MAX_MESSAGE_BYTES + 1))
+
     def test_key_sensitivity(self):
         msg = make_message(10)
         assert mac(STANDARD_KEY, msg) != mac(Key(0xE6A12F07, 0x9D15C436), msg)
+
+
+class TestSegmentPaths:
+    """mac_bytes, mac on a list and mac on a generator against the stepwise fold."""
+
+    @given(mixed_keys, edge_messages)
+    @settings(max_examples=150, deadline=None)
+    def test_all_paths_equal_stepwise_fold(self, key, data):
+        want = stepwise_mac(key, data)
+        blocks_in = pad_message(data)
+        assert mac_bytes(key, data) == want
+        assert mac_bytes(key, bytearray(data)) == want
+        assert mac(key, blocks_in) == want
+        assert mac(key, (m for m in blocks_in)) == want
+
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_pad_message_matches_per_block_packing(self, n):
+        data = bytes(range(256)) * 17
+        data = data[:n]
+        padded = data + bytes(-n % 4)
+        assert pad_message(data) == [
+            int.from_bytes(padded[i : i + 4], "big") for i in range(0, len(padded), 4)
+        ]
