@@ -3,7 +3,8 @@
 The authenticator mixes three flavours of arithmetic on unsigned 32-bit
 words:
 
-* plain bit logic: AND, OR, XOR and a one-bit left rotation;
+* plain bit logic: Python's own AND, OR and XOR, and a one-bit left
+  rotation;
 * modulo 2**32 addition with the carry bit exposed separately;
 * multiplication modulo 2**32 - 1 and modulo 2**32 - 2, built by folding
   the high half of the 64-bit product back into the low half (an end-around
@@ -55,18 +56,6 @@ class ConditioningResult(NamedTuple):
     pattern: int  # one bit per byte position, MSB examined first
 
 
-def and_(x: int, y: int) -> int:
-    return x & y
-
-
-def or_(x: int, y: int) -> int:
-    return x | y
-
-
-def xor(x: int, y: int) -> int:
-    return x ^ y
-
-
 def cyc(x: int) -> int:
     """Rotate left by one bit."""
     return ((x << 1) | (x >> 31)) & MASK
@@ -98,19 +87,6 @@ def fix1(x: int) -> int:
 
 def fix2(x: int) -> int:
     return (x | FIX2_SET) & FIX2_KEEP
-
-
-def _mul1_parts(x: int, y: int) -> tuple[int, int]:
-    """Folded sum and carry of mul1's fold, in word operations, for tests
-    that watch the carry; mul1 itself computes the same fold inline."""
-    u = high_mul(x, y)
-    l = low_mul(x, y)
-    s = add(u, l)
-    c = car(u, l)
-    # u and l never exceed 2**32 - 1, so their sum carries at most one bit.
-    if c not in (0, 1):
-        raise AssertionError("mul1 carry out of range")
-    return s, c
 
 
 def mul1(x: int, y: int) -> int:
@@ -180,18 +156,6 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
             p += 1
             x ^= p << shift
     return ConditioningResult(x >> 32, x & MASK, p)
-
-
-def block_to_octets(x: int) -> tuple[int, int, int, int]:
-    """Split a block into four bytes, most significant first."""
-    return (x >> 24) & 0xFF, (x >> 16) & 0xFF, (x >> 8) & 0xFF, x & 0xFF
-
-
-def octets_to_block(o0: int, o1: int, o2: int, o3: int) -> int:
-    for o in (o0, o1, o2, o3):
-        if not 0 <= o <= 0xFF:
-            raise ValueError("octet out of range: %r" % (o,))
-    return (o0 << 24) | (o1 << 16) | (o2 << 8) | o3
 
 
 def block_hex(x: int) -> str:

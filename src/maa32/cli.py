@@ -11,6 +11,8 @@ or I/O errors, 3 message too long, 4 selftest or vector failure.
 Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 256-block segment at a time, so arbitrarily large files run in constant
 memory; a regular file over the length cap is refused before it is read.
+``trace`` reads at most one byte past the cap, refuses over-cap input
+before writing anything, and writes each segment's lines as they are made.
 With ``--hex`` the input is read as hex digits with all whitespace ignored.
 
 The vector corpus (``vectors``) is imported only by the commands that use
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from . import core
 from .blocks import block_hex, byt_pat, fix2, mul1, mul2, mul2a
-from .core import Key, MessageTooLong, make_message, pad_message
+from .core import Key, MessageTooLong, make_message
 from .oracle import MODULUS_ONES, MODULUS_TWOS, mod_mul_ref
 
 if TYPE_CHECKING:
@@ -175,14 +177,19 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     from . import vectors
 
+    # Read one byte past the cap, so that over-cap input is refused
+    # before anything is written.
     with _input_stream(args) as stream:
-        blocks = pad_message(stream.read())
-    text = vectors.emit_trace(args.key, blocks).render()
+        data = stream.read(core.MAX_MESSAGE_BYTES + 1)
+    core._check_byte_count(len(data))
+    segments = vectors.trace_segments(
+        core.prelude(args.key), core._read_segments(io.BytesIO(data))
+    )
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(vectors.trace_lines(segments))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(vectors.trace_lines(segments))
     return 0
 
 

@@ -27,9 +27,11 @@ The last result is the MAC.  A message of exactly 256 blocks is a single
 segment.  Messages of 1,000,000 blocks or more are rejected.
 
 Every input reaches the segment kernel through one chaining loop, which
-takes the message one segment at a time: bytes are read and unpacked a
-segment at a time, and blocks from an iterable are checked a segment at
-a time.
+takes the message one segment at a time from one segment source per input
+kind: bytes are read and unpacked a segment at a time, and blocks from an
+iterable are checked a segment at a time.  Each source applies the length
+cap itself, so every consumer (the MAC and the tracer alike) gets the same
+checks.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import io
 import struct
 from functools import lru_cache
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 from .blocks import (
     FIX1_KEEP,
@@ -253,16 +255,7 @@ def mac(key: Key, message: Iterable[int]) -> int:
     of MAX_MESSAGE_BLOCKS blocks or more, and for any other as soon as
     the millionth block is consumed.
     """
-    pre = prelude(key)
-    try:
-        known = len(message)  # type: ignore[arg-type]
-    except TypeError:
-        known = None
-    if known is not None and known >= MAX_MESSAGE_BLOCKS:
-        raise MessageTooLong(
-            "message has %d blocks; limit is %d" % (known, MAX_MESSAGE_BLOCKS)
-        )
-    return _chain_segments(pre, _block_segments(message))
+    return _chain_segments(prelude(key), _block_segments(message))
 
 
 def mac_bytes(key: Key, data: bytes) -> int:
@@ -302,8 +295,8 @@ def _chain_segments(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> in
     Takes the message as segments of 256 blocks, the last one shorter or
     (for an empty message only) empty, and prepends each intermediate
     result to the next segment; the throughput benchmark drives this
-    directly, since the length cap belongs to the mac interface, not to
-    the arithmetic.
+    directly, since the length cap belongs to the segment sources, not
+    to the arithmetic.
     """
     it = iter(segments)
     unit = next(it)
@@ -315,8 +308,12 @@ def _chain_segments(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> in
 def _block_segments(message: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Checked blocks of message, a segment at a time; no blocks is one empty segment.
 
-    Raises MessageTooLong once the millionth block is consumed.
+    Raises MessageTooLong before the first segment for a sized message of
+    MAX_MESSAGE_BLOCKS blocks or more, and for any other once the
+    millionth block is consumed.
     """
+    if isinstance(message, Sized):
+        _check_block_count(len(message))
     it = iter(message)
     count = 0
     while True:
@@ -325,14 +322,18 @@ def _block_segments(message: Iterable[int]) -> Iterator[tuple[int, ...]]:
             for m in seg:
                 _validate_block(m)
         count += len(seg)
-        if count >= MAX_MESSAGE_BLOCKS:
-            raise MessageTooLong(
-                "message reached %d blocks; limit is %d" % (count, MAX_MESSAGE_BLOCKS)
-            )
+        _check_block_count(count)
         if seg or not count:
             yield seg
         if len(seg) < SEGMENT_BLOCKS:
             return
+
+
+def _check_block_count(n_blocks: int) -> None:
+    if n_blocks >= MAX_MESSAGE_BLOCKS:
+        raise MessageTooLong(
+            "message has %d blocks; limit is %d" % (n_blocks, MAX_MESSAGE_BLOCKS)
+        )
 
 
 def _check_byte_count(n_bytes: int) -> None:

@@ -14,8 +14,6 @@ from __future__ import annotations
 MODULUS_ONES = 2**32 - 1
 MODULUS_TWOS = 2**32 - 2
 
-WideInt = int
-
 _WORD = 2**32
 
 

@@ -29,21 +29,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat
 from .core import (
     Key,
     LoopState,
-    MAX_MESSAGE_BLOCKS,
     MessageTooLong,
     PreludeOutput,
+    _block_segments,
     mac,
     main_loop_step,
     make_message,
     pad_message,
     prelude,
-    segment,
 )
 
 STATUS_PASS = "PASS"
@@ -69,11 +68,6 @@ class InlineHex:
 
 
 @dataclass(frozen=True)
-class InlineBlocks:
-    blocks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FileRef:
     path: str
 
@@ -89,7 +83,7 @@ class Repeated:
     count: int
 
 
-MessageSource = Union[InlineHex, InlineBlocks, FileRef, Generated, Repeated]
+MessageSource = Union[InlineHex, FileRef, Generated, Repeated]
 
 
 class _MissingFile(Exception):
@@ -101,8 +95,6 @@ class _MissingFile(Exception):
 def _resolve_source(source: MessageSource, base_dir: str) -> list[int]:
     if isinstance(source, InlineHex):
         return pad_message(source.data)
-    if isinstance(source, InlineBlocks):
-        return list(source.blocks)
     if isinstance(source, Generated):
         return make_message(source.n_blocks)
     if isinstance(source, Repeated):
@@ -208,44 +200,58 @@ class MacTrace:
     mac: int
 
     def render(self) -> str:
-        lines = []
-        for i, seg in enumerate(self.segments, 1):
-            for r in seg.records:
-                lines.append(
-                    "N=%d M=%s X=%s Y=%s V=%s"
-                    % (r.n, block_hex(r.m), block_hex(r.x), block_hex(r.y), block_hex(r.v))
-                )
-            lines.append("Z%d=%s" % (i, block_hex(seg.z)))
-        lines.append("MAC=%s" % block_hex(self.mac))
-        return "\n".join(lines) + "\n"
+        return "".join(trace_lines(self.segments))
 
 
 def emit_trace(key: Key, message: Iterable[int]) -> MacTrace:
     """Authenticate while recording every loop iteration.
 
-    Same segmentation and limits as ``mac``; the result's ``mac`` field
-    always equals what ``mac`` returns for the same input.
+    Same segmentation, checks and limits as ``mac``: the whole message is
+    checked before the first step is traced, and the result's ``mac``
+    field always equals what ``mac`` returns for the same input.
     """
-    blocks = list(message)
-    if len(blocks) >= MAX_MESSAGE_BLOCKS:
-        raise MessageTooLong(
-            "message has %d blocks; limit is %d" % (len(blocks), MAX_MESSAGE_BLOCKS)
-        )
     pre = prelude(key)
-    segments_out = []
+    segments = tuple(trace_segments(pre, tuple(_block_segments(message))))
+    return MacTrace(segments, segments[-1].z)
+
+
+def trace_segments(
+    pre: PreludeOutput, segments: Iterable[Sequence[int]]
+) -> Iterator[SegmentTrace]:
+    """The traced twin of the chaining loop: one SegmentTrace per segment.
+
+    Folds main_loop_step over each unit (the previous result prepended to
+    the segment, then the two trailer blocks), numbering the absorbed
+    blocks straight through.
+    """
     n = 0
     z = None
-    for seg in segment(blocks):
-        unit = seg if z is None else [z] + seg
+    for seg in segments:
+        unit = seg if z is None else (z, *seg)
         state = LoopState(pre.x0, pre.y0, pre.v0)
         records = []
-        for m in unit + [pre.s, pre.t]:
+        for m in (*unit, pre.s, pre.t):
             state = main_loop_step(state, pre.w, m)
             n += 1
             records.append(TraceRecord(n, m, state.x, state.y, state.v))
         z = state.x ^ state.y
-        segments_out.append(SegmentTrace(tuple(records), z))
-    return MacTrace(tuple(segments_out), segments_out[-1].z)
+        yield SegmentTrace(tuple(records), z)
+
+
+def trace_lines(segments: Iterable[SegmentTrace]) -> Iterator[str]:
+    """The rendered trace, a newline-terminated line at a time.
+
+    An ``N=`` line per absorbed block, a ``Z<i>=`` line per segment, then
+    the ``MAC=`` line: the last segment's result.  Values are eight
+    uppercase hex digits, as ``block_hex`` renders them.
+    """
+    z = None
+    for i, seg in enumerate(segments, 1):
+        for r in seg.records:
+            yield "N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (r.n, r.m, r.x, r.y, r.v)
+        z = seg.z
+        yield "Z%d=%08X\n" % (i, z)
+    yield "MAC=%08X\n" % z
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +345,16 @@ def builtin_corpus() -> list[VectorCase]:
         VectorCase(
             name="gen-0008-reversed",
             key=_STANDARD_KEY,
-            source=InlineBlocks(tuple(reversed(make_message(8)))),
+            source=_blocks_source(reversed(make_message(8))),
             expect=ExpectMac(_REVERSED_8_MAC),
         )
     )
-    swapped = segment(make_message(600))
+    gen600 = make_message(600)
     cases.append(
         VectorCase(
             name="gen-0600-segments-swapped",
             key=_STANDARD_KEY,
-            source=InlineBlocks(tuple(swapped[0] + swapped[2] + swapped[1])),
+            source=_blocks_source(gen600[:256] + gen600[512:] + gen600[256:512]),
             expect=ExpectMac(_SWAPPED_600_MAC),
         )
     )
@@ -377,6 +383,10 @@ def builtin_corpus() -> list[VectorCase]:
         )
     )
     return cases
+
+
+def _blocks_source(blocks: Iterable[int]) -> InlineHex:
+    return InlineHex(b"".join(b.to_bytes(4, "big") for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +695,8 @@ def _word(token: str, number: int) -> int:
 def format_cases(cases: Iterable[VectorCase]) -> str:
     """Render cases back into the file format (inverse of parsing).
 
-    Cases whose source or expectation has no file representation
-    (inline block lists, conditioning answers, inline trace text)
-    raise ValueError.
+    Cases whose expectation has no file representation (conditioning
+    answers, inline trace text) raise ValueError.
     """
     out = []
     for case in cases:

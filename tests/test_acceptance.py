@@ -18,6 +18,7 @@ import pytest
 from maa32 import blocks, oracle, vectors
 from maa32.blocks import byt_pat, cyc, fix1, fix2, high_mul, low_mul, mul1, mul2
 from maa32.core import Key, mac, mac_bytes, make_message, prelude, process_segment, segment
+from test_blocks import mul1_parts
 
 KEY = Key(0xE6A12F07, 0x9D15C437)
 EDGE = [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]
@@ -81,7 +82,7 @@ def test_criterion_3_product_halves_match_oracle_on_100k_pairs_under_10s():
 def test_criterion_4_mul1_carry_is_single_bit_on_every_sampled_invocation():
     pairs = _sample_pairs()
     for x, y in pairs:
-        _, carry = blocks._mul1_parts(x, y)
+        _, carry = mul1_parts(x, y)
         assert carry in (0, 1), "carry %r for %08X * %08X" % (carry, x, y)
     print("criterion 4: mul1 carry in {0,1} on all %d invocations" % len(pairs))
 

@@ -41,6 +41,16 @@ def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
     assert imported.is_relative_to(SRC_PACKAGE), imported
 
 
+def test_mac_commands_do_not_import_the_vector_corpus():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, maa32, maa32.cli; print('maa32.vectors' in sys.modules)"],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
 class TestMacCommand:
     def test_stdout_is_exactly_the_mac_line(self):
         data = b"abcdefgh"
@@ -180,6 +190,35 @@ class TestTraceCommand:
         to_file = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
         assert to_file.returncode == 0
         assert out.read_text() == want
+
+    @pytest.mark.parametrize("key", [KEY, "80018001:80018000"])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 600])
+    def test_segment_edges_match_library_rendering(self, tmp_path, key, n):
+        from maa32.vectors import emit_trace
+
+        data = blocks_to_bytes(make_message(n))
+        want = emit_trace(Key(*(int(w, 16) for w in key.split(":"))), make_message(n)).render()
+        to_stdout = run_cli("trace", "--key", key, stdin=data)
+        assert to_stdout.returncode == 0, to_stdout.stderr
+        assert to_stdout.stdout.decode() == want
+        out = tmp_path / "t.trace"
+        to_file = run_cli("trace", "--key", key, "-o", str(out), stdin=data)
+        assert to_file.returncode == 0, to_file.stderr
+        assert out.read_text() == want
+
+    def test_stdin_over_the_cap_exits_3_and_writes_nothing(self, tmp_path):
+        data = bytes(MAX_MESSAGE_BYTES + 1)
+        to_stdout = run_cli("trace", "--key", KEY, stdin=data)
+        assert to_stdout.returncode == 3, to_stdout.stderr
+        assert to_stdout.stdout == b""
+        out = tmp_path / "t.trace"
+        to_file = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
+        assert to_file.returncode == 3, to_file.stderr
+        assert not out.exists()
+        out.write_text("kept\n")
+        again = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
+        assert again.returncode == 3, again.stderr
+        assert out.read_text() == "kept\n"
 
 
 class TestSelftestCommand:

@@ -140,6 +140,32 @@ class TestTrace:
         with pytest.raises(core.MessageTooLong):
             emit_trace(STANDARD_KEY, iter([0] * 1_000_000))
 
+    @pytest.mark.parametrize("bad", [2**40, -1, True, 1.0])
+    def test_rejects_bad_blocks_as_mac_does(self, bad):
+        with pytest.raises(ValueError) as from_mac:
+            mac(STANDARD_KEY, [bad])
+        with pytest.raises(ValueError) as from_trace:
+            emit_trace(STANDARD_KEY, [bad])
+        assert type(from_trace.value) is type(from_mac.value)
+        assert str(from_trace.value) == str(from_mac.value)
+
+    @pytest.mark.parametrize("as_iterator", [False, True])
+    def test_overlong_message_refused_before_any_step(self, monkeypatch, as_iterator):
+        steps = []
+
+        def counted(*args):
+            steps.append(1)
+            return core.main_loop_step(*args)
+
+        monkeypatch.setattr(vectors, "main_loop_step", counted)
+        message = [0] * core.MAX_MESSAGE_BLOCKS
+        with pytest.raises(core.MessageTooLong):
+            emit_trace(STANDARD_KEY, iter(message) if as_iterator else message)
+        assert steps == []
+        # the counter does see the steps of an accepted message
+        emit_trace(STANDARD_KEY, [0])
+        assert len(steps) == 3
+
 
 class TestParser:
     def test_implicit_single_case(self):
