@@ -49,6 +49,8 @@ _BYTES_01 = 0x0101010101010101
 _BYTES_80 = 0x8080808080808080
 _BYTES_FF = 0xFFFFFFFFFFFFFFFF
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 class ConditioningResult(NamedTuple):
     first: int
@@ -161,3 +163,17 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
 def block_hex(x: int) -> str:
     """Canonical rendering: exactly eight uppercase hex digits."""
     return "%08X" % x
+
+
+def is_hex(text: str) -> bool:
+    """True when text is ASCII hex digits only.
+
+    Stricter than ``int(text, 16)``, which also takes a sign, underscores,
+    a ``0x`` prefix, surrounding whitespace and digits of other scripts.
+    """
+    return all(c in _HEX_DIGITS for c in text)
+
+
+def is_hex_word(text: str) -> bool:
+    """True when text is exactly eight hex digits, the width of a block."""
+    return len(text) == 8 and is_hex(text)

@@ -13,12 +13,20 @@ lines are ignored, and every other line is a directive:
     EXPECT-PRELUDE <six 8 hex>       expected key expansion
     EXPECT-TRACE <path>              expected per-block trace (golden file)
 
-A case holds one expectation; a directive after the expectation opens the
-next case.  Unknown directives and malformed values are errors carrying the
-line number.  Relative paths resolve against the directory given to
-``run_vectors``; a referenced file that does not exist makes the case
-SKIPPED, not failed, which is how optional externally-supplied suites are
-gated in.
+Hex words are exactly eight hex digits; counts are ASCII decimal.
+
+A case holds one expectation.  ``CASE`` always opens a new case, and so
+does a body directive (``KEY``, ``MSGHEX``, ``MSGFILE``, ``MSGGEN``,
+``REPEAT``) once the current case has its expectation; an expectation or
+an unknown directive never does.  Unknown directives and malformed values
+are errors carrying their own line number; a case found incomplete when it
+ends (no expectation, no key, odd MSGHEX data, ...) is reported at the line
+that ended it, which at end of input is the text's last line, blank and
+comment lines included.
+
+Relative paths resolve against the directory given to ``run_vectors``; a
+referenced file that does not exist makes the case SKIPPED, not failed,
+which is how optional externally-supplied suites are gated in.
 
 Traces render one line per absorbed block (chaining and trailer blocks
 included, numbered straight through), a ``Z<i>=`` line per segment, and a
@@ -31,7 +39,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from .blocks import ConditioningResult, block_hex, byt_pat
+from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
 from .core import (
     Key,
     LoopState,
@@ -489,10 +497,10 @@ def _first_divergence(rendered: str, golden: str) -> str:
 
 
 def parse_vector_text(text: str, source_name: str = "<string>") -> list[VectorCase]:
-    parser = _Parser(source_name)
-    for number, raw in enumerate(text.splitlines(), 1):
-        parser.feed(number, raw)
-    return parser.finish()
+    cases: list[VectorCase] = []
+    for rows, end_line in _split_cases(text):
+        cases.append(_build_case(rows, end_line, "case-%d" % (len(cases) + 1)))
+    return cases
 
 
 def parse_vector_file(path: str) -> list[VectorCase]:
@@ -500,196 +508,121 @@ def parse_vector_file(path: str) -> list[VectorCase]:
         return parse_vector_text(fh.read(), source_name=path)
 
 
-class _Parser:
-    def __init__(self, source_name: str):
-        self.source_name = source_name
-        self.cases: list[VectorCase] = []
-        self.last_line = 0
-        self._reset()
-
-    def _reset(self):
-        self.started = False
-        self.name: str | None = None
-        self.key: Key | None = None
-        self.hex_parts: list[str] = []
-        self.file_ref: str | None = None
-        self.gen: int | None = None
-        self.repeat: int | None = None
-        self.expect: Expectation | None = None
-        self.start_line = 0
-
-    def feed(self, number: int, raw: str):
-        self.last_line = number
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            return
-        fields = line.split()
-        directive, args = fields[0], fields[1:]
-        handler = {
-            "CASE": self._on_case,
-            "KEY": self._on_key,
-            "MSGHEX": self._on_msghex,
-            "MSGFILE": self._on_msgfile,
-            "MSGGEN": self._on_msggen,
-            "REPEAT": self._on_repeat,
-            "EXPECT-MAC": self._on_expect_mac,
-            "EXPECT-PRELUDE": self._on_expect_prelude,
-            "EXPECT-TRACE": self._on_expect_trace,
-        }.get(directive)
-        if handler is None:
-            raise VectorFormatError("unknown directive %r" % directive, number)
-        handler(number, args)
-
-    def _open(self, number: int, name: str | None = None, flush_done: bool = True):
-        # A body directive after the case's expectation opens the next
-        # case; an expectation directive never does (one per case).
-        if flush_done and self.started and self.expect is not None:
-            self._flush(number)
-        if not self.started:
-            self.started = True
-            self.start_line = number
-            if name is not None:
-                self.name = name
-
-    def _on_case(self, number: int, args: list[str]):
-        if self.started:
-            self._flush(number)
-        if not args:
-            raise VectorFormatError("CASE needs a name", number)
-        self._open(number, " ".join(args))
-
-    def _on_key(self, number: int, args: list[str]):
-        self._open(number)
-        if self.key is not None:
-            raise VectorFormatError("duplicate KEY", number)
-        if len(args) != 2:
-            raise VectorFormatError("KEY needs two 8-digit hex words", number)
-        self.key = Key(_word(args[0], number), _word(args[1], number))
-
-    def _require_no_other_source(self, number: int, kind: str):
-        sources = [
-            bool(self.hex_parts) and kind != "MSGHEX",
-            self.file_ref is not None and kind != "MSGFILE",
-            self.gen is not None and kind != "MSGGEN",
-        ]
-        if any(sources):
-            raise VectorFormatError("case already has a message source", number)
-
-    def _on_msghex(self, number: int, args: list[str]):
-        self._open(number)
-        self._require_no_other_source(number, "MSGHEX")
-        # a bare MSGHEX is legal: it denotes the empty message
-        part = "".join(args)
-        if not all(c in "0123456789abcdefABCDEF" for c in part):
-            raise VectorFormatError("MSGHEX contains non-hex characters", number)
-        self.hex_parts.append(part)
-
-    def _on_msgfile(self, number: int, args: list[str]):
-        self._open(number)
-        self._require_no_other_source(number, "MSGFILE")
-        if self.file_ref is not None:
-            raise VectorFormatError("duplicate MSGFILE", number)
-        if not args:
-            raise VectorFormatError("MSGFILE needs a path", number)
-        self.file_ref = " ".join(args)
-
-    def _on_msggen(self, number: int, args: list[str]):
-        self._open(number)
-        self._require_no_other_source(number, "MSGGEN")
-        if self.gen is not None:
-            raise VectorFormatError("duplicate MSGGEN", number)
-        if len(args) != 1 or not args[0].isdigit():
-            raise VectorFormatError("MSGGEN needs a nonnegative block count", number)
-        self.gen = int(args[0])
-
-    def _on_repeat(self, number: int, args: list[str]):
-        self._open(number)
-        if self.repeat is not None:
-            raise VectorFormatError("duplicate REPEAT", number)
-        if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
-            raise VectorFormatError("REPEAT needs a positive count", number)
-        self.repeat = int(args[0])
-
-    def _on_expect_mac(self, number: int, args: list[str]):
-        self._open(number, flush_done=False)
-        self._no_expect_yet(number)
-        if len(args) != 1:
-            raise VectorFormatError("EXPECT-MAC needs one 8-digit hex word", number)
-        self.expect = ExpectMac(_word(args[0], number))
-
-    def _on_expect_prelude(self, number: int, args: list[str]):
-        self._open(number, flush_done=False)
-        self._no_expect_yet(number)
-        if len(args) != 6:
-            raise VectorFormatError("EXPECT-PRELUDE needs six 8-digit hex words", number)
-        self.expect = ExpectPrelude(tuple(_word(a, number) for a in args))
-
-    def _on_expect_trace(self, number: int, args: list[str]):
-        self._open(number, flush_done=False)
-        self._no_expect_yet(number)
-        if not args:
-            raise VectorFormatError("EXPECT-TRACE needs a path", number)
-        self.expect = ExpectTrace(path=" ".join(args))
-
-    def _no_expect_yet(self, number: int):
-        if self.expect is not None:
-            raise VectorFormatError("case already has an expectation", number)
-
-    def _flush(self, number: int):
-        if self.expect is None:
-            raise VectorFormatError(
-                "case starting at line %d has no expectation" % self.start_line, number
-            )
-        source: MessageSource | None = None
-        if self.hex_parts:
-            combined = "".join(self.hex_parts)
-            if len(combined) % 2:
-                raise VectorFormatError(
-                    "MSGHEX data has odd length in case starting at line %d"
-                    % self.start_line,
-                    number,
-                )
-            source = InlineHex(bytes.fromhex(combined))
-        elif self.file_ref is not None:
-            source = FileRef(self.file_ref)
-        elif self.gen is not None:
-            source = Generated(self.gen)
-        if self.repeat is not None:
-            if source is None:
-                raise VectorFormatError(
-                    "REPEAT without a message source in case starting at line %d"
-                    % self.start_line,
-                    number,
-                )
-            source = Repeated(source, self.repeat)
-        needs_key = not isinstance(self.expect, ExpectConditioning)
-        if needs_key and self.key is None:
-            raise VectorFormatError(
-                "case starting at line %d has no KEY" % self.start_line, number
-            )
-        if isinstance(self.expect, (ExpectMac, ExpectTrace)) and source is None:
-            raise VectorFormatError(
-                "case starting at line %d has no message" % self.start_line, number
-            )
-        if isinstance(self.expect, ExpectPrelude) and source is not None:
-            raise VectorFormatError(
-                "prelude case starting at line %d takes no message" % self.start_line,
-                number,
-            )
-        name = self.name or "case-%d" % (len(self.cases) + 1)
-        self.cases.append(VectorCase(name, self.key, source, self.expect))
-        self._reset()
-
-    def finish(self) -> list[VectorCase]:
-        if self.started:
-            self._flush(self.last_line)
-        return self.cases
-
-
-def _word(token: str, number: int) -> int:
-    if len(token) != 8 or not all(c in "0123456789abcdefABCDEF" for c in token):
-        raise VectorFormatError("expected an 8-digit hex word, got %r" % token, number)
+def _word(token: str) -> int:
+    if not is_hex_word(token):
+        raise ValueError("expected an 8-digit hex word, got %r" % token)
     return int(token, 16)
+
+
+def _hex(args: list[str]) -> str:
+    # a bare MSGHEX is legal: it denotes the empty message
+    digits = "".join(args)
+    if not is_hex(digits):
+        raise ValueError("MSGHEX contains non-hex characters")
+    return digits
+
+
+def _count(token: str, least: int) -> int:
+    # ASCII only: str.isdigit() also passes digits that int() rejects ("²")
+    # and digits of other scripts that it reads ("١٢").
+    if not (token.isascii() and token.isdigit()) or int(token) < least:
+        raise ValueError
+    return int(token)
+
+
+# directive: (slot, (fewest, most) arguments, usage, converter).  A
+# converter raises ValueError with its own message, or with none to report
+# the usage line.
+_DIRECTIVES = {
+    "CASE": ("name", (1, None), "CASE needs a name", " ".join),
+    "KEY": ("key", (2, 2), "KEY needs two 8-digit hex words", lambda a: Key(*map(_word, a))),
+    "MSGHEX": ("source", (0, None), "", _hex),
+    "MSGFILE": ("source", (1, None), "MSGFILE needs a path", lambda a: FileRef(" ".join(a))),
+    "MSGGEN": ("source", (1, 1), "MSGGEN needs a nonnegative block count",
+               lambda a: Generated(_count(a[0], 0))),
+    "REPEAT": ("repeat", (1, 1), "REPEAT needs a positive count", lambda a: _count(a[0], 1)),
+    "EXPECT-MAC": ("expect", (1, 1), "EXPECT-MAC needs one 8-digit hex word",
+                   lambda a: ExpectMac(_word(a[0]))),
+    "EXPECT-PRELUDE": ("expect", (6, 6), "EXPECT-PRELUDE needs six 8-digit hex words",
+                       lambda a: ExpectPrelude(tuple(map(_word, a)))),
+    "EXPECT-TRACE": ("expect", (1, None), "EXPECT-TRACE needs a path",
+                     lambda a: ExpectTrace(path=" ".join(a))),
+}
+_BODY = frozenset({"KEY", "MSGHEX", "MSGFILE", "MSGGEN", "REPEAT"})
+_EXPECTATIONS = frozenset({"EXPECT-MAC", "EXPECT-PRELUDE", "EXPECT-TRACE"})
+
+_Row = tuple[int, str, list[str]]  # line number, directive, arguments
+
+
+def _split_cases(text: str) -> Iterator[tuple[list[_Row], int]]:
+    """Yield each case's rows and the number of the line that ended it.
+
+    Lazy, so that a case is built, and its errors raised, before a later
+    line is read.  At end of input the ending line is the text's last line.
+    """
+    rows: list[_Row] = []
+    has_expectation = False
+    number = 0
+    for number, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        directive = fields[0]
+        if rows and (directive == "CASE" or (has_expectation and directive in _BODY)):
+            yield rows, number
+            rows, has_expectation = [], False
+        rows.append((number, directive, fields[1:]))
+        has_expectation = has_expectation or directive in _EXPECTATIONS
+    if rows:
+        yield rows, number
+
+
+def _build_case(rows: list[_Row], end_line: int, default_name: str) -> VectorCase:
+    """Check each row against the directive table, then the whole case."""
+    kinds: dict[str, str] = {}  # slot: the directive that filled it
+    values: dict[str, object] = {}
+    for number, directive, args in rows:
+        if directive not in _DIRECTIVES:
+            raise VectorFormatError("unknown directive %r" % directive, number)
+        slot, (fewest, most), usage, convert = _DIRECTIVES[directive]
+        if slot in kinds:
+            if slot == "expect":
+                raise VectorFormatError("case already has an expectation", number)
+            if kinds[slot] != directive:
+                raise VectorFormatError("case already has a message source", number)
+            if directive != "MSGHEX":
+                raise VectorFormatError("duplicate %s" % directive, number)
+        if len(args) < fewest or (most is not None and len(args) > most):
+            raise VectorFormatError(usage, number)
+        try:
+            value = convert(args)
+        except ValueError as err:
+            raise VectorFormatError(str(err) or usage, number) from None
+        if directive == "MSGHEX":  # repeatable: the parts concatenate
+            value = values.get(slot, "") + value
+        kinds[slot], values[slot] = directive, value
+
+    def fail(message: str):
+        raise VectorFormatError(message % rows[0][0], end_line)
+
+    key, source, expect = values.get("key"), values.get("source"), values.get("expect")
+    if expect is None:
+        fail("case starting at line %d has no expectation")
+    if isinstance(source, str):
+        if len(source) % 2:
+            fail("MSGHEX data has odd length in case starting at line %d")
+        source = InlineHex(bytes.fromhex(source))
+    if "repeat" in values:
+        if source is None:
+            fail("REPEAT without a message source in case starting at line %d")
+        source = Repeated(source, values["repeat"])
+    if key is None:
+        fail("case starting at line %d has no KEY")
+    if isinstance(expect, (ExpectMac, ExpectTrace)) and source is None:
+        fail("case starting at line %d has no message")
+    if isinstance(expect, ExpectPrelude) and source is not None:
+        fail("prelude case starting at line %d takes no message")
+    return VectorCase(values.get("name", default_name), key, source, expect)
 
 
 def format_cases(cases: Iterable[VectorCase]) -> str:

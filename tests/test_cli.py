@@ -43,12 +43,17 @@ def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
 
 def test_mac_commands_do_not_import_the_vector_corpus():
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, maa32, maa32.cli; print('maa32.vectors' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, maa32, maa32.cli; "
+            "print('maa32.vectors' in sys.modules, 'maa32.oracle' in sys.modules)",
+        ],
         capture_output=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
+    assert proc.stdout == b"False False\n"
 
 
 class TestMacCommand:
@@ -92,6 +97,23 @@ class TestMacCommand:
     def test_malformed_key_is_usage_error(self, bad):
         proc = run_cli("mac", "--key", bad, stdin=b"")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mac", "--key", "0x000001:0x000002"],
+            ["mac", "--key", "1_000000:00000000"],
+            ["mac", "--key", "+0000001:00000000"],
+            ["mac", "--key", " 0000001:00000000"],
+            ["mac", "--key", "\u0660\u0660\u0660\u0660\u0660\u0660\u0660\u0661:00000000"],
+            ["verify", "--key", KEY, "--mac", "0x212898"],
+            ["verify", "--key", KEY, "--mac", "2128_98B"],
+        ],
+    )
+    def test_words_other_than_eight_hex_digits_are_usage_errors(self, argv):
+        proc = run_cli(*argv, stdin=b"x")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
 
     def test_missing_input_file_is_io_error(self):
         proc = run_cli("mac", "--key", KEY, "/nonexistent/path.bin")
@@ -264,6 +286,16 @@ class TestSelftestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "line 1" in proc.stderr.decode()
 
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0661\u0662"])
+    def test_non_ascii_count_exits_2_with_line(self, tmp_path, count):
+        (tmp_path / "count.mvt").write_text(
+            "KEY %s %s\nMSGGEN %s\nEXPECT-MAC 00000000\n" % (KEY[:8], KEY[9:], count),
+            encoding="utf-8",
+        )
+        proc = run_cli("selftest", "--vectors", str(tmp_path / "count.mvt"), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "line 2" in proc.stderr.decode()
+
     def test_vector_file_relative_msgfile_resolves_next_to_it(self, tmp_path):
         sub = tmp_path / "vectors"
         sub.mkdir()
@@ -309,6 +341,14 @@ class TestGenCommand:
         run_cli("gen", "--blocks", "8", "-o", str(path))
         proc = run_cli("mac", "--key", KEY, str(path))
         assert proc.stdout == b"2128988B\n"
+
+
+@pytest.mark.parametrize("argv", [["gen"], ["gen", "-o", "m.bin"], ["bench"]])
+def test_negative_block_count_exits_2_and_writes_nothing(tmp_path, argv):
+    proc = run_cli(*argv, "--blocks", "-1", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_without_command():

@@ -28,6 +28,60 @@ from maa32.vectors import (
 STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
+# Generated .mvt texts: whole cases in file order, with parts left out,
+# interleaved with single lines in any order (known directives with
+# well-formed or junk arguments, unknown directives, blank and comment
+# lines).  Tokens mix hex words and runs, ASCII and other-script digits,
+# and paths.
+hex_words = u32.map("%08X".__mod__) | st.sampled_from(["e6a12f07", "9d15c437"])
+junk_tokens = st.sampled_from(
+    ["", "0", "1", "7", "84", "-1", "00", "012", "DEAD", "XYZ", "0x000001",
+     "+0000001", "1_000000", "²", "³", "١٢", "٣", "①", "a.bin", "sub dir/m.bin"]
+)
+counts = st.sampled_from(["0", "1", "7", "84", "256", "257", "²", "³", "①", "١٢"])
+well_formed_args = {
+    "CASE": st.lists(st.sampled_from(["a", "b", "two words"]), min_size=1, max_size=2),
+    "KEY": st.lists(hex_words, min_size=2, max_size=2),
+    "MSGHEX": st.lists(st.binary(max_size=6).map(bytes.hex), max_size=3),
+    "MSGFILE": st.just(["m.bin"]),
+    "MSGGEN": counts.map(lambda c: [c]),
+    "REPEAT": counts.map(lambda c: [c]),
+    "EXPECT-MAC": st.lists(hex_words, min_size=1, max_size=1),
+    "EXPECT-PRELUDE": st.lists(hex_words, min_size=6, max_size=6),
+    "EXPECT-TRACE": st.just(["golden.trace"]),
+}
+
+
+def mvt_line(directive, args):
+    return args.map(lambda a: [" ".join([directive, *a])])
+
+
+def well_formed(directive):
+    return mvt_line(directive, well_formed_args[directive])
+
+
+def any_line(directive):
+    junk = st.lists(hex_words | junk_tokens, max_size=7)
+    return mvt_line(directive, well_formed_args.get(directive, st.nothing()) | junk)
+
+
+mvt_cases = st.tuples(
+    st.just([]) | well_formed("CASE"),
+    st.just([]) | well_formed("KEY"),
+    st.just([]) | st.sampled_from(["MSGHEX", "MSGFILE", "MSGGEN"]).flatmap(well_formed),
+    st.just([]) | well_formed("REPEAT"),
+    st.sampled_from(["EXPECT-MAC", "EXPECT-PRELUDE", "EXPECT-TRACE"]).flatmap(well_formed),
+).map(lambda parts: sum(parts, []))
+mvt_lines = st.sampled_from([[""], ["  "], ["# note"], ["  # KEY 00000000 00000000"]]) | (
+    st.sampled_from([*well_formed_args, "FROB", "0", "key", "EXPECT-FOO"]).flatmap(any_line)
+)
+mvt_texts = st.builds(
+    lambda chunks, newline, last: newline.join(sum(chunks, [])) + last,
+    st.lists(mvt_cases | mvt_lines, max_size=6),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "\n# trailing\n\n"]),
+)
+
 
 class TestBuiltinCorpus:
     def test_everything_passes_offline(self, tmp_path):
@@ -254,6 +308,11 @@ class TestParser:
             ),
             ("CASE\n", 1, "CASE needs a name"),
             ("EXPECT-PRELUDE 00000001\n", 1, "six 8-digit hex words"),
+            ("MSGGEN ²\n", 1, "MSGGEN needs a nonnegative block count"),
+            ("MSGGEN ١٢\n", 1, "MSGGEN needs a nonnegative block count"),
+            ("KEY 00000001 00000002\nREPEAT ³\n", 2, "REPEAT needs a positive count"),
+            ("EXPECT-MAC 00000001\n0\n", 2, "unknown directive"),
+            ("KEY 00000001 00000002\nMSGGEN 1\n\n# end\n", 4, "no expectation"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -261,6 +320,14 @@ class TestParser:
             parse_vector_text(text)
         assert err.value.line_number == line
         assert fragment in str(err.value)
+
+    @given(mvt_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_only_format_errors_escape(self, text):
+        try:
+            parse_vector_text(text)
+        except VectorFormatError as err:
+            assert 1 <= err.line_number <= len(text.splitlines())
 
     def test_error_message_names_the_line(self):
         with pytest.raises(VectorFormatError) as err:
