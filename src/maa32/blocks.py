@@ -94,15 +94,13 @@ def fix2(x: int) -> int:
 def mul1(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 1 by end-around carry.
 
-    Returns the representative the fold produces; for a product congruent
-    to zero that can be 0xFFFFFFFF rather than 0.  Adds the product's high
-    half to its low half, then the carry of that sum back in; the last
-    addition cannot overflow, because when the carry is 1 the folded sum
-    is at most 0xFFFFFFFE.
+    Returns the representative the end-around-carry fold produces: 0 for
+    a zero product, and otherwise the one value in [1, 0xFFFFFFFF]
+    congruent to it, so a nonzero product congruent to zero gives
+    0xFFFFFFFF rather than 0.
     """
     p = x * y
-    s = (p >> 32) + (p & MASK)
-    return (s & MASK) + (s >> 32)
+    return p % MASK or (p and MASK)
 
 
 def mul2(x: int, y: int) -> int:

@@ -25,9 +25,11 @@ import argparse
 import io
 import os
 import stat
+import struct
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from itertools import islice
 from typing import BinaryIO, Iterator
 
 from . import core
@@ -207,7 +209,7 @@ def _cmd_selftest(args) -> int:
             print("cannot read %s: %s" % (path, err), file=sys.stderr)
             return 2
         except vectors.VectorFormatError as err:
-            print("%s: %s" % (path, err), file=sys.stderr)
+            print(err, file=sys.stderr)  # names the file and the line
             return 2
         base = path.rsplit("/", 1)[0] if "/" in path else "."
         groups.append((parsed, base))
@@ -247,12 +249,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    payload = b"".join(b.to_bytes(4, "big") for b in make_message(args.blocks))
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+    # A segment at a time, so any block count runs in constant memory.
+    blocks = core._message_blocks(args.blocks)
+    segments = iter(lambda: tuple(islice(blocks, core.SEGMENT_BLOCKS)), ())
+    with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
+        for seg in segments:
+            out.write(struct.pack(">%dI" % len(seg), *seg))
     return 0
 
 

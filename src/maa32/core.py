@@ -16,7 +16,7 @@ to a block boundary).  Authentication runs in three phases:
   where the Y update reads the freshly updated X.  fix2 keeps its output
   below 2**31, which is what makes mul2a safe here.  V rotates one bit
   per block, so the i-th E is rot(V0, i) XOR W and repeats every 32
-  blocks.
+  blocks; like the prelude, that table of E is cached per key.
 * coda: two extra loop iterations with M = S and M = T, then the result
   is X XOR Y.
 
@@ -40,6 +40,7 @@ import io
 import struct
 from functools import lru_cache
 from itertools import chain, islice
+from operator import xor
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 from .blocks import (
@@ -122,21 +123,14 @@ def _unpack_blocks(data: bytes) -> tuple[int, ...]:
 
 def make_message(n_blocks: int) -> list[int]:
     """Deterministic test message: block i (1-based) is i * 9E3779B9 mod 2**32."""
+    return list(_message_blocks(n_blocks))
+
+
+def _message_blocks(n_blocks: int) -> Iterator[int]:
+    """make_message's blocks, made lazily; the count is checked at the call."""
     if n_blocks < 0:
         raise ValueError("block count must be nonnegative")
-    return [(i * _GEN_STEP) & MASK for i in range(1, n_blocks + 1)]
-
-
-def _power_chain(mul, base: int) -> dict[int, int]:
-    """Powers 2,4,5,6,7,8,9 of base under the given folded multiplication."""
-    p = {2: mul(base, base)}
-    p[4] = mul(p[2], p[2])
-    p[5] = mul(p[4], base)
-    p[6] = mul(p[4], p[2])
-    p[7] = mul(p[5], p[2])
-    p[8] = mul(p[4], p[4])
-    p[9] = mul(p[7], p[2])
-    return p
+    return ((i * _GEN_STEP) & MASK for i in range(1, n_blocks + 1))
 
 
 def prelude_intermediate(key: Key) -> PreludeIntermediate:
@@ -152,19 +146,23 @@ def prelude_intermediate(key: Key) -> PreludeIntermediate:
     j, k = key
     _validate_block(j)
     _validate_block(k)
-    j_ones = _power_chain(mul1, j)
-    j_twos = _power_chain(mul2, j)
-    k_ones = _power_chain(mul1, k)
-    k_twos = _power_chain(mul2, k)
-    scale = 4 if byt_pat(j, k).pattern else 1
-    return PreludeIntermediate(
-        h4=j_ones[4] ^ j_twos[4],
-        h5=mul2(k_ones[5] ^ k_twos[5], scale),
-        h6=j_ones[6] ^ j_twos[6],
-        h7=k_ones[7] ^ k_twos[7],
-        h8=j_ones[8] ^ j_twos[8],
-        h9=k_ones[9] ^ k_twos[9],
-    )
+    return _expand(j, k)
+
+
+def _expand(j: int, k: int) -> PreludeIntermediate:
+    """prelude_intermediate of checked key words, in 18 folded multiplications."""
+    powers = []
+    for mul in mul1, mul2:
+        j2 = mul(j, j)
+        j4 = mul(j2, j2)
+        k2 = mul(k, k)
+        k5 = mul(mul(k2, k2), k)
+        k7 = mul(k5, k2)
+        powers.append((j4, k5, mul(j4, j2), k7, mul(j4, j4), mul(k7, k2)))
+    h4, h5, h6, h7, h8, h9 = map(xor, *powers)
+    if byt_pat(j, k).pattern:
+        h5 = mul2(h5, 4)
+    return PreludeIntermediate(h4, h5, h6, h7, h8, h9)
 
 
 def prelude(key: Key) -> PreludeOutput:
@@ -183,7 +181,7 @@ def prelude(key: Key) -> PreludeOutput:
 
 @lru_cache(maxsize=PRELUDE_CACHE_SIZE)
 def _cached_prelude(j: int, k: int) -> PreludeOutput:
-    h = prelude_intermediate(Key(j, k))
+    h = _expand(j, k)
     x0, y0, _ = byt_pat(h.h4, h.h5)
     v0, w, _ = byt_pat(h.h6, h.h7)
     s, t, _ = byt_pat(h.h8, h.h9)
@@ -216,27 +214,28 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     if len(blocks) > SEGMENT_BLOCKS + 1:
         raise ValueError("segment unit longer than %d blocks" % (SEGMENT_BLOCKS + 1))
     x, y = pre.x0, pre.y0
-    v, w = pre.v0, pre.w
     mask = MASK
     a, c = FIX1_SET, FIX1_KEEP
     b, d = FIX2_SET, FIX2_KEEP
-    # E = rot(V0, i) ^ W for block i (1-based) has period 32, so 32 entries
-    # repeated 9 times cover a 257-block unit and the two coda blocks,
-    # which take E[n] and E[n + 1] after n message blocks.  A shorter unit
-    # needs only its first n + 2 entries.
-    period = min(len(blocks) + 2, 32)
-    table = [(((v << i) | (v >> (32 - i))) & mask) ^ w for i in range(1, period + 1)] * 9
-    for m, e in zip(chain(blocks, (pre.s, pre.t)), table):
-        # Inlined main_loop_step.  The mul1 fold (s & mask) + carry cannot
-        # exceed the mask; the mul2a fold doubles its carry, and its high
-        # half is below 2**31 because the fix2 operand is.
-        p = (x ^ m) * ((((e + y) & mask) | a) & c)
-        s = (p >> 32) + (p & mask)
-        x = (s & mask) + (s >> 32)
-        p = (y ^ m) * ((((e + x) & mask) | b) & d)
+    # The E table is cached per key, next to the prelude; the coda's S and
+    # T take the two entries after the last message block.
+    for m, e in zip(chain(blocks, (pre.s, pre.t)), _e_table(pre.v0, pre.w)):
+        # Inlined main_loop_step.  The fix operands need no 32-bit mask,
+        # since both keep masks clear the high bits; mul1 is blocks.mul1's
+        # fold; the mul2a fold doubles its carry, and its high half is
+        # below 2**31 because the fix2 operand is.
+        p = (x ^ m) * (((e + y) | a) & c)
+        x = p % mask or (p and mask)
+        p = (y ^ m) * (((e + x) | b) & d)
         s = ((p >> 32) << 1) + (p & mask)
         y = (s & mask) + ((s >> 32) << 1)
     return x ^ y
+
+
+@lru_cache(maxsize=PRELUDE_CACHE_SIZE)
+def _e_table(v0: int, w: int) -> tuple[int, ...]:
+    """E = rot(V0, i) ^ W for i = 1..288: period 32, 9 times, covers a unit and its coda."""
+    return tuple(((v0 << i | v0 >> (32 - i)) & MASK) ^ w for i in range(1, 33)) * 9
 
 
 def segment(message: list[int]) -> list[list[int]]:

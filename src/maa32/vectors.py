@@ -59,11 +59,14 @@ STATUS_SKIP = "SKIP"
 
 
 class VectorFormatError(ValueError):
-    """A vector file could not be parsed; carries the 1-based line number."""
+    """A vector text could not be parsed; names its source and the 1-based line."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__("line %d: %s" % (line_number, message))
+    def __init__(self, message: str, line_number: int, source: str | None = None):
+        text = "line %d: %s" % (line_number, message)
+        super().__init__(text if source is None else "%s: %s" % (source, text))
+        self.message = message
         self.line_number = line_number
+        self.source = source
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +500,13 @@ def _first_divergence(rendered: str, golden: str) -> str:
 
 
 def parse_vector_text(text: str, source_name: str = "<string>") -> list[VectorCase]:
+    """The cases of a vector text; a VectorFormatError names source_name."""
     cases: list[VectorCase] = []
-    for rows, end_line in _split_cases(text):
-        cases.append(_build_case(rows, end_line, "case-%d" % (len(cases) + 1)))
+    try:
+        for rows, end_line in _split_cases(text):
+            cases.append(_build_case(rows, end_line, "case-%d" % (len(cases) + 1)))
+    except VectorFormatError as err:
+        raise VectorFormatError(err.message, err.line_number, source_name) from None
     return cases
 
 

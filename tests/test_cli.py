@@ -1,5 +1,6 @@
 """Command line contract, exercised through real subprocesses."""
 
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,15 @@ class TestSelftestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "line 1" in proc.stderr.decode()
 
+    def test_malformed_vector_file_is_named_once(self, tmp_path):
+        path = tmp_path / "junk.mvt"
+        path.write_text("KEY 1 2\n")
+        proc = run_cli("selftest", "--vectors", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode() == (
+            "%s: line 1: expected an 8-digit hex word, got '1'\n" % path
+        )
+
     @pytest.mark.parametrize("count", ["\u00b2", "\u0661\u0662"])
     def test_non_ascii_count_exits_2_with_line(self, tmp_path, count):
         (tmp_path / "count.mvt").write_text(
@@ -334,6 +344,29 @@ class TestGenCommand:
         proc = run_cli("gen", "--blocks", "0")
         assert proc.returncode == 0
         assert proc.stdout == b""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_segment_edges_match_make_message(self, n):
+        proc = run_cli("gen", "--blocks", str(n))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == blocks_to_bytes(make_message(n))
+
+    def test_streams_a_million_blocks_in_constant_memory(self, tmp_path):
+        # Peak RSS of the gen child alone: the probe process starts no
+        # other child.  Building the whole message first peaked at 150 MB.
+        out = tmp_path / "m.bin"
+        probe = (
+            "import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        argv = [sys.executable, "-m", "maa32", "gen", "--blocks", "1000000", "-o", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 50 * 1024  # KiB
+        assert out.read_bytes() == struct.pack(">1000000I", *make_message(1_000_000))
 
     def test_gen_then_mac_matches_corpus_golden(self, tmp_path):
         # gen-0008 in the builtin corpus pins this exact value

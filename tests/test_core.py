@@ -1,5 +1,7 @@
 """Key expansion, the block loop, segmentation, and the MAC itself."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,18 +48,27 @@ edge_messages = st.sampled_from(EDGE_LENGTHS).flatmap(
 
 
 def stepwise_mac(key, data):
-    """The MAC by the spec's steps: pad, split, fold main_loop_step, coda, chain."""
+    """The MAC by the spec's steps: pad, split, fold main_loop_step, coda, chain.
+
+    The key is expanded afresh, so no cache is shared with the engine.
+    """
     data = data + bytes(-len(data) % 4)
     message = [int.from_bytes(data[i : i + 4], "big") for i in range(0, len(data), 4)]
-    pre = prelude(key)
+    pre = core._cached_prelude.__wrapped__(*key)
     z = None
     for start in range(0, max(len(message), 1), 256):
         unit = ([] if z is None else [z]) + message[start : start + 256]
-        state = LoopState(pre.x0, pre.y0, pre.v0)
-        for m in unit:
-            state = main_loop_step(state, pre.w, m)
-        z = coda(state, pre.w, pre.s, pre.t)
+        z = coda(fold(pre, unit), pre.w, pre.s, pre.t)
     return z
+
+
+def fold(pre, unit):
+    """The loop state after main_loop_step over unit from the prelude seeds."""
+    state = LoopState(pre.x0, pre.y0, pre.v0)
+    for m in unit:
+        state = main_loop_step(state, pre.w, m)
+    return state
+
 
 # The key the algorithm's published end-to-end test data uses.
 STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
@@ -238,6 +249,85 @@ class TestProcessSegment:
         with pytest.raises(ValueError):
             process_segment(pre, [0] * 258)
         process_segment(pre, [0] * 257)  # chaining block + full segment is fine
+
+
+class TestKernelRepresentatives:
+    """The kernel's mul1 where its product is 0 or a nonzero multiple of 2**32 - 1.
+
+    The block at a chosen position of a unit is set so that X ^ M is 0
+    (product 0, so X becomes 0) or 0xFFFFFFFF (product congruent to 0 but
+    not 0, so X becomes 0xFFFFFFFF), at positions on both sides of the E
+    table's 32-block period and at the ends of full and chained units.
+    """
+
+    KEYS = [STANDARD_KEY, Key(0x80018001, 0x80018000)]  # clean, and with a 00 byte
+    SPOTS = [(256, p) for p in (1, 31, 32, 33, 256)] + [
+        (257, p) for p in (1, 31, 32, 33, 256, 257)
+    ]
+
+    @staticmethod
+    def hit(pre, unit, position, target):
+        """Set block `position` (1-based) so that X ^ M == target there."""
+        unit[position - 1] = fold(pre, unit[: position - 1]).x ^ target
+        assert fold(pre, unit[:position]).x == target  # the case is reached
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("length, position", SPOTS)
+    @pytest.mark.parametrize("target", [0, 0xFFFFFFFF])
+    def test_segment_equals_stepwise_fold(self, key, length, position, target):
+        pre = prelude(key)
+        rng = random.Random(length * 1000 + position)
+        unit = [rng.getrandbits(32) for _ in range(length)]
+        self.hit(pre, unit, position, target)
+        assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("position", [2, 31, 32, 33, 256, 257])
+    @pytest.mark.parametrize("target", [0, 0xFFFFFFFF])
+    def test_chained_unit_through_mac(self, key, position, target):
+        # The second unit is the first segment's result followed by the
+        # next 256 blocks, so its first block is not chosen here.
+        pre = prelude(key)
+        rng = random.Random(position)
+        message = [rng.getrandbits(32) for _ in range(512)]
+        unit = [coda(fold(pre, message[:256]), pre.w, pre.s, pre.t), *message[256:]]
+        self.hit(pre, unit, position, target)
+        message[256:] = unit[1:]
+        data = b"".join(m.to_bytes(4, "big") for m in message)
+        want = coda(fold(pre, unit), pre.w, pre.s, pre.t)
+        assert stepwise_mac(key, data) == want
+        assert mac(key, message) == want
+        assert mac_bytes(key, data) == want
+
+
+class TestKeyCaches:
+    def test_macs_stay_exact_when_keys_are_evicted_and_reused(self):
+        # More distinct keys than the caches hold (one in four with a
+        # 00 or FF byte), then the first key again, which was evicted.
+        rng = random.Random(8)
+        keys = [
+            Key(rng.getrandbits(32) & (0xFFFFFFFF if i % 4 else 0xFFFF00FF), rng.getrandbits(32))
+            for i in range(core.PRELUDE_CACHE_SIZE + 8)
+        ]
+        data = bytes(rng.getrandbits(8) for _ in range(1100))  # two segments
+        for key in keys:
+            assert mac_bytes(key, data) == stepwise_mac(key, data)
+        assert core._e_table.cache_info().currsize == core.PRELUDE_CACHE_SIZE
+        misses = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
+        assert mac_bytes(keys[0], data) == stepwise_mac(keys[0], data)
+        assert mac(keys[0], pad_message(data)) == stepwise_mac(keys[0], data)
+        after = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
+        assert after == (misses[0] + 1, misses[1] + 1)
+
+    def test_e_table_is_an_immutable_tuple(self):
+        pre = prelude(STANDARD_KEY)
+        table = core._e_table(pre.v0, pre.w)
+        assert type(table) is tuple
+        assert len(table) >= 257 + 2  # a chained unit and its coda
+        v = pre.v0
+        for e in table:
+            v = blocks.cyc(v)
+            assert e == v ^ pre.w
 
 
 class TestSegment:

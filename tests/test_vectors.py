@@ -21,6 +21,7 @@ from maa32.vectors import (
     builtin_corpus,
     emit_trace,
     format_cases,
+    parse_vector_file,
     parse_vector_text,
     run_vectors,
 )
@@ -334,6 +335,19 @@ class TestParser:
             parse_vector_text("# fine\nBOGUS\n")
         assert "line 2" in str(err.value)
         assert "BOGUS" in str(err.value)
+
+    def test_file_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "bad.mvt"
+        path.write_text("# fine\nBOGUS\n")
+        with pytest.raises(VectorFormatError) as err:
+            parse_vector_file(str(path))
+        assert (err.value.source, err.value.line_number) == (str(path), 2)
+        assert str(err.value) == "%s: line 2: unknown directive 'BOGUS'" % path
+
+    def test_text_errors_name_the_source(self):
+        with pytest.raises(VectorFormatError) as err:
+            parse_vector_text("MSGGEN 1\nEXPECT-MAC 00000000\n", source_name="inline.mvt")
+        assert str(err.value) == "inline.mvt: line 2: case starting at line 1 has no KEY"
 
     def test_case_without_expectation_rejected(self):
         with pytest.raises(VectorFormatError) as err:
