@@ -2,8 +2,8 @@
 
 Commands: ``mac`` (print an authenticator), ``verify`` (compare against an
 expected one), ``trace`` (per-block execution trace), ``selftest`` (builtin
-corpus plus optional vector files), ``bench`` (throughput measurement) and
-``gen`` (write deterministic test messages).
+corpus plus optional vector files), ``bench`` (throughput of generating and
+chaining a test message) and ``gen`` (write deterministic test messages).
 
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
 or I/O errors, 3 message too long, 4 selftest or vector failure.
@@ -13,7 +13,10 @@ Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 memory; a regular file over the length cap is refused before it is read.
 ``trace`` reads at most one byte past the cap, refuses over-cap input
 before writing anything, and writes each segment's lines as they are made.
-With ``--hex`` the input is read as hex digits with all whitespace ignored.
+With ``--hex`` the input is read as hex digits with all whitespace ignored,
+and refused as soon as its non-blank characters pass the cap.  ``gen`` and
+``bench`` make their message a segment at a time, so no command holds more
+than the capped input.
 
 The vector corpus (``vectors``) is imported only by the commands that use
 it, so that ``mac`` and ``verify`` start without building it.
@@ -29,12 +32,11 @@ import struct
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from itertools import islice
 from typing import BinaryIO, Iterator
 
 from . import core
 from .blocks import block_hex, is_hex, is_hex_word
-from .core import Key, MessageTooLong, make_message
+from .core import Key, MessageTooLong
 
 _STANDARD_BENCH_KEY = Key(0xE6A12F07, 0x9D15C437)
 
@@ -116,12 +118,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _hex_bytes(path: str) -> bytes:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r") as fh:
-            text = fh.read()
-    digits = "".join(text.split())
+    """The bytes of hex text, whitespace ignored, counted as the text is read."""
+    parts = []
+    n_digits = 0
+    with nullcontext(sys.stdin) if path == "-" else open(path, "r") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
+            parts.append("".join(chunk.split()))
+            n_digits += len(parts[-1])
+            core._check_byte_count(n_digits // 2)
+    digits = "".join(parts)
     if len(digits) % 2 or not is_hex(digits):
         raise ValueError("input is not an even run of hex digits")
     return bytes.fromhex(digits)
@@ -186,6 +191,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from dataclasses import replace
+
     from . import vectors
 
     groups: list[tuple[list[vectors.VectorCase], str]] = []
@@ -193,13 +200,9 @@ def _cmd_selftest(args) -> int:
     if args.inject_fault:
         for i, case in enumerate(builtin):
             if isinstance(case.expect, vectors.ExpectMac):
-                corrupted = vectors.VectorCase(
-                    case.name + " (fault injected)",
-                    case.key,
-                    case.source,
-                    vectors.ExpectMac(case.expect.value ^ 1),
-                )
-                builtin[i] = corrupted
+                name = case.name + " (fault injected)"
+                expect = vectors.ExpectMac(case.expect.value ^ 1)
+                builtin[i] = replace(case, name=name, expect=expect)
                 break
     groups.append((builtin, args.data_dir))
     for path in args.vectors:
@@ -211,8 +214,7 @@ def _cmd_selftest(args) -> int:
         except vectors.VectorFormatError as err:
             print(err, file=sys.stderr)  # names the file and the line
             return 2
-        base = path.rsplit("/", 1)[0] if "/" in path else "."
-        groups.append((parsed, base))
+        groups.append((parsed, os.path.dirname(path) or "."))
 
     failed = 0
     skipped = 0
@@ -233,12 +235,13 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # Times the segmentation engine itself; the mac interface's length
-    # cap does not apply to a throughput measurement.
-    message = make_message(args.blocks)
+    # Times generating the message and the segmentation engine, a segment
+    # at a time; the mac interface's checks and length cap do not apply to
+    # a throughput measurement.
+    segments = core._message_segments(args.blocks)
     pre = core.prelude(_STANDARD_BENCH_KEY)
     start = time.perf_counter()
-    value = core._chain_segments(pre, core.segment(message))
+    value = core._chain_segments(pre, segments)
     elapsed = time.perf_counter() - start
     rate = args.blocks / elapsed if elapsed > 0 else float("inf")
     print(
@@ -250,8 +253,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gen(args) -> int:
     # A segment at a time, so any block count runs in constant memory.
-    blocks = core._message_blocks(args.blocks)
-    segments = iter(lambda: tuple(islice(blocks, core.SEGMENT_BLOCKS)), ())
+    segments = core._message_segments(args.blocks)
     with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
         for seg in segments:
             out.write(struct.pack(">%dI" % len(seg), *seg))

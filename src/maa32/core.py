@@ -31,7 +31,8 @@ takes the message one segment at a time from one segment source per input
 kind: bytes are read and unpacked a segment at a time, and blocks from an
 iterable are checked a segment at a time.  Each source applies the length
 cap itself, so every consumer (the MAC and the tracer alike) gets the same
-checks.
+checks.  The test-message generator has a segment source of its own,
+unchecked and uncapped, for the commands that write or time its messages.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def _message_blocks(n_blocks: int) -> Iterator[int]:
     if n_blocks < 0:
         raise ValueError("block count must be nonnegative")
     return ((i * _GEN_STEP) & MASK for i in range(1, n_blocks + 1))
+
+
+def _message_segments(n_blocks: int) -> Iterator[tuple[int, ...]]:
+    """make_message's blocks a segment at a time, unchecked and uncapped.
+
+    No blocks is one empty segment; the count is checked at the call.
+    """
+    blocks = _message_blocks(n_blocks)
+    n_segments = max(1, -(-n_blocks // SEGMENT_BLOCKS))
+    return (tuple(islice(blocks, SEGMENT_BLOCKS)) for _ in range(n_segments))
 
 
 def prelude_intermediate(key: Key) -> PreludeIntermediate:

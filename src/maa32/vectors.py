@@ -28,6 +28,11 @@ Relative paths resolve against the directory given to ``run_vectors``; a
 referenced file that does not exist makes the case SKIPPED, not failed,
 which is how optional externally-supplied suites are gated in.
 
+The runner makes a case's message as it is consumed: bytes (``MSGHEX``,
+``MSGFILE``) are read and padded by the reader ``mac_bytes`` uses, blocks
+are checked by ``mac``'s segment source, and a message that reaches the
+length cap FAILs there, so no case holds its whole message in memory.
+
 Traces render one line per absorbed block (chaining and trailer blocks
 included, numbered straight through), a ``Z<i>=`` line per segment, and a
 final ``MAC=`` line, all values as eight uppercase hex digits.
@@ -35,8 +40,10 @@ final ``MAC=`` line, all values as eight uppercase hex digits.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
@@ -46,10 +53,11 @@ from .core import (
     MessageTooLong,
     PreludeOutput,
     _block_segments,
+    _message_blocks,
+    _read_segments,
     mac,
     main_loop_step,
     make_message,
-    pad_message,
     prelude,
 )
 
@@ -103,22 +111,28 @@ class _MissingFile(Exception):
         self.path = path
 
 
-def _resolve_source(source: MessageSource, base_dir: str) -> list[int]:
+def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
+    """The source's blocks, made as they are consumed; byte data is padded per source."""
     if isinstance(source, InlineHex):
-        return pad_message(source.data)
-    if isinstance(source, Generated):
-        return make_message(source.n_blocks)
-    if isinstance(source, Repeated):
-        return _resolve_source(source.inner, base_dir) * source.count
-    if isinstance(source, FileRef):
-        path = source.path
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        yield from chain.from_iterable(_read_segments(io.BytesIO(source.data)))
+    elif isinstance(source, Generated):
+        yield from _message_blocks(source.n_blocks)
+    elif isinstance(source, Repeated):
+        for _ in range(source.count):
+            blocks = _source_blocks(source.inner, base_dir)
+            first = next(blocks, None)
+            if first is None:
+                return  # an empty message repeats to an empty message
+            yield first
+            yield from blocks
+    elif isinstance(source, FileRef):
+        path = os.path.join(base_dir, source.path)  # an absolute path stays as is
         if not os.path.exists(path):
             raise _MissingFile(source.path)
         with open(path, "rb") as fh:
-            return pad_message(fh.read())
-    raise TypeError("unknown message source: %r" % (source,))
+            yield from chain.from_iterable(_read_segments(fh))
+    else:
+        raise TypeError("unknown message source: %r" % (source,))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +419,7 @@ def _blocks_source(blocks: Iterable[int]) -> InlineHex:
 
 
 def run_vectors(cases: Iterable[VectorCase], base_dir: str = ".") -> VectorReport:
-    results = []
-    for case in cases:
-        results.append(_run_one(case, base_dir))
-    return VectorReport(tuple(results))
+    return VectorReport(tuple(_run_one(case, base_dir) for case in cases))
 
 
 def _run_one(case: VectorCase, base_dir: str) -> VectorResult:
@@ -456,7 +467,7 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
         )
     if case.source is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no message")
-    blocks = _resolve_source(case.source, base_dir)
+    blocks = _source_blocks(case.source, base_dir)
     if isinstance(expect, ExpectMac):
         got = mac(case.key, blocks)
         if got == expect.value:
@@ -469,9 +480,7 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
     if isinstance(expect, ExpectTrace):
         golden = expect.text
         if golden is None:
-            path = expect.path or ""
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+            path = os.path.join(base_dir, expect.path or "")
             if not os.path.exists(path):
                 raise _MissingFile(expect.path or "")
             with open(path, "r", encoding="ascii") as fh:
@@ -630,47 +639,3 @@ def _build_case(rows: list[_Row], end_line: int, default_name: str) -> VectorCas
     if isinstance(expect, ExpectPrelude) and source is not None:
         fail("prelude case starting at line %d takes no message")
     return VectorCase(values.get("name", default_name), key, source, expect)
-
-
-def format_cases(cases: Iterable[VectorCase]) -> str:
-    """Render cases back into the file format (inverse of parsing).
-
-    Cases whose expectation has no file representation (conditioning
-    answers, inline trace text) raise ValueError.
-    """
-    out = []
-    for case in cases:
-        out.append("CASE %s" % case.name)
-        if case.key is not None:
-            out.append(
-                "KEY %s %s" % (block_hex(case.key.first), block_hex(case.key.second))
-            )
-        out.extend(_format_source(case.source))
-        expect = case.expect
-        if isinstance(expect, ExpectMac):
-            out.append("EXPECT-MAC %s" % block_hex(expect.value))
-        elif isinstance(expect, ExpectPrelude):
-            out.append(
-                "EXPECT-PRELUDE %s" % " ".join(block_hex(v) for v in expect.values)
-            )
-        elif isinstance(expect, ExpectTrace) and expect.path is not None:
-            out.append("EXPECT-TRACE %s" % expect.path)
-        else:
-            raise ValueError("no file representation for %r" % (expect,))
-        out.append("")
-    return "\n".join(out)
-
-
-def _format_source(source: MessageSource | None) -> list[str]:
-    if source is None:
-        return []
-    if isinstance(source, InlineHex):
-        hexstr = source.data.hex().upper()
-        return ["MSGHEX %s" % hexstr] if hexstr else ["MSGHEX"]
-    if isinstance(source, FileRef):
-        return ["MSGFILE %s" % source.path]
-    if isinstance(source, Generated):
-        return ["MSGGEN %d" % source.n_blocks]
-    if isinstance(source, Repeated):
-        return _format_source(source.inner) + ["REPEAT %d" % source.count]
-    raise ValueError("no file representation for %r" % (source,))

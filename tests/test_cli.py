@@ -1,14 +1,20 @@
-"""Command line contract, exercised through real subprocesses."""
+"""Command line contract, exercised through real subprocesses and in-process."""
 
+import io
+import json
+import os
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maa32.core import MAX_MESSAGE_BYTES, Key, mac_bytes, make_message
+from maa32 import cli
+from maa32.core import MAX_MESSAGE_BYTES, Key, mac, mac_bytes, make_message
 from test_core import edge_messages, mixed_keys, stepwise_mac
 
 KEY = "E6A12F07:9D15C437"
@@ -28,6 +34,42 @@ def run_cli(*args, stdin: bytes = b"", cwd=None):
 
 def blocks_to_bytes(blocks):
     return b"".join(b.to_bytes(4, "big") for b in blocks)
+
+
+# Runs its arguments as its only child and prints, as JSON, the child's exit
+# code, stdout and stderr and the peak RSS of its children in KiB.
+PROBE = (
+    "import json, resource, subprocess, sys; "
+    "p = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss; "
+    "print(json.dumps([p.returncode, p.stdout, p.stderr, rss]))"
+)
+
+
+def run_probed(*args):
+    """Exit code, stdout, stderr and peak RSS in MiB of one CLI child.
+
+    The child runs with ResourceWarning made an error, so an unclosed file
+    shows on its stderr.
+    """
+    argv = [sys.executable, "-W", "error::ResourceWarning", "-m", "maa32", *args]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, rss_kib = json.loads(proc.stdout)
+    return code, out, err, rss_kib / 1024
+
+
+def run_main(*argv, stdin: bytes = b""):
+    """cli.main in this process: its exit code, stdout bytes and stderr text."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    with mock.patch.multiple(sys, stdin=fake_stdin, stdout=out, stderr=err):
+        code = cli.main(list(argv))
+        out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
 
 
 def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
@@ -164,6 +206,30 @@ class TestStreamReader:
         proc = run_cli("mac", "--key", KEY, str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr
+
+    def test_hex_digits_are_joined_across_whitespace_and_read_chunks(self, tmp_path):
+        # Pairs split by whitespace and text longer than one 64 KiB read.
+        data = bytes(range(256)) * 200
+        digits = data.hex()
+        spaced = "\t".join(digits[i : i + 3] for i in range(0, len(digits), 3))
+        path = tmp_path / "m.hex"
+        path.write_text(spaced.replace("\t", "\n", 999))
+        assert cli._hex_bytes(str(path)) == data
+        assert run_main("mac", "--key", KEY, "--hex", "-", stdin=spaced.encode()) == (
+            0, b"%08X\n" % mac_bytes(KEY_OBJ, data), ""
+        )
+
+    def test_hex_at_the_cap_is_accepted_one_byte_over_exits_3(self, tmp_path):
+        data = bytes(range(256)) * (MAX_MESSAGE_BYTES // 256) + bytes(MAX_MESSAGE_BYTES % 256)
+        path = tmp_path / "at-cap.hex"
+        path.write_text(data.hex())
+        code, out, err = run_main("mac", "--key", KEY, "--hex", str(path))
+        assert (code, out, err) == (0, b"%08X\n" % mac_bytes(KEY_OBJ, data), "")
+        with path.open("a") as fh:
+            fh.write("00 and then no hex at all")
+        code, out, err = run_main("mac", "--key", KEY, "--hex", str(path))
+        assert (code, out) == (3, b"")
+        assert err.endswith("; limit is %d\n" % MAX_MESSAGE_BYTES)
 
     def test_hex_file_is_closed(self, tmp_path):
         path = tmp_path / "m.hex"
@@ -306,6 +372,25 @@ class TestSelftestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "line 2" in proc.stderr.decode()
 
+    @pytest.mark.parametrize(
+        "path,base_dir", [("/x.mvt", "/"), ("x.mvt", "."), ("a/b.mvt", "a")]
+    )
+    def test_vector_files_resolve_against_their_directory(self, monkeypatch, path, base_dir):
+        from maa32 import vectors
+
+        seen = []
+
+        def run_vectors(cases, base_dir):
+            seen.append((cases, base_dir))
+            return vectors.VectorReport(())
+
+        monkeypatch.setattr(vectors, "parse_vector_file", lambda p: [p])
+        monkeypatch.setattr(vectors, "run_vectors", run_vectors)
+        code, out, err = run_main("selftest", "--data-dir", "data", "--vectors", path)
+        assert (code, err) == (0, "")
+        assert seen[1:] == [([path], base_dir)]
+        assert seen[0][1] == "data"
+
     def test_vector_file_relative_msgfile_resolves_next_to_it(self, tmp_path):
         sub = tmp_path / "vectors"
         sub.mkdir()
@@ -329,6 +414,57 @@ class TestBenchCommand:
         assert "blocks=2000" in out
         assert "blocks/s" in out
         assert "result=" in out
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_result_is_the_mac_of_make_message(self, n):
+        code, out, err = run_main("bench", "--blocks", str(n))
+        assert (code, err) == (0, "")
+        assert out.startswith(b"blocks=%d " % n)
+        assert out.endswith(b" result=%08X\n" % mac(KEY_OBJ, make_message(n)))
+
+
+class TestBoundedMemory:
+    """Peak RSS of one CLI child: no command holds a whole over-cap message."""
+
+    @pytest.mark.parametrize(
+        "source,detail",
+        [
+            ("MSGGEN 4000000", "message has 1000000 blocks; limit is 1000000"),
+            ("MSGGEN 1\nREPEAT 4000000", "message has 1000000 blocks; limit is 1000000"),
+            ("MSGFILE big.bin", "message has 4000768 bytes; limit is 3999996"),
+        ],
+        ids=["msggen", "repeat", "msgfile"],
+    )
+    def test_over_cap_vector_case_fails_at_the_cap(self, tmp_path, source, detail):
+        # Building the whole message first peaked at 46-537 MB.
+        with open(tmp_path / "big.bin", "wb") as fh:
+            for _ in range(40):
+                fh.write(bytes(range(256)) * 4096)  # 40 MiB in all
+        path = tmp_path / "big.mvt"
+        path.write_text(
+            "CASE big\nKEY %s %s\n%s\nEXPECT-MAC 00000000\n" % (KEY[:8], KEY[9:], source)
+        )
+        code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
+        assert (code, err) == (4, "")
+        assert "FAIL big: %s\n" % detail in out
+        assert out.endswith("failed=1 skipped=1\n")
+        assert rss_mib < 30
+
+    def test_bench_of_a_million_blocks(self):
+        # Building the message first peaked at 60 MB.
+        code, out, err, rss_mib = run_probed("bench", "--blocks", "1000000")
+        assert (code, err) == (0, "")
+        assert out.endswith(" result=37DAB7EA\n")
+        assert rss_mib < 30
+
+    def test_hex_over_the_cap_exits_3(self, tmp_path):
+        # Reading the whole text first peaked at 178 MB.
+        path = tmp_path / "big.hex"
+        path.write_text(("ab" * 32 + "\n") * (40 * 2**20 // 65))
+        code, out, err, rss_mib = run_probed("mac", "--key", KEY, "--hex", str(path))
+        assert (code, out) == (3, "")
+        assert err.endswith("; limit is 3999996\n")
+        assert rss_mib < 40
 
 
 class TestGenCommand:
@@ -382,6 +518,79 @@ def test_negative_block_count_exits_2_and_writes_nothing(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b""
     assert list(tmp_path.iterdir()) == []
+
+
+# cli.main fuzzing: one of the six commands, then option pairs and junk
+# tokens, run in a fresh directory holding every file a token names.
+FUZZ_FILES = {
+    "m.bin": blocks_to_bytes(make_message(8)),
+    "m.hex": b"4245 0A0A\n2020",
+    "bad.hex": b"4245 zz\n",
+    "odd.hex": b"424",
+    "latin.bin": b"\xff\xfe",
+    "good.mvt": (
+        b"CASE file\nKEY %s %s\nMSGFILE m.bin\nEXPECT-MAC 2128988B\n"
+        b"CASE repeat\nKEY 80018001 80018000\nMSGGEN 3\nREPEAT 2\nEXPECT-MAC 00000000\n"
+        b"CASE trace\nKEY 00000100 00000080\nMSGHEX 01\nEXPECT-TRACE missing.trace\n"
+        b"CASE missing\nKEY 00000001 00000002\nMSGFILE nowhere.bin\nEXPECT-MAC 00000000\n"
+        % (KEY[:8].encode(), KEY[9:].encode())
+    ),
+    "dir.mvt": b"KEY 00000001 00000002\nMSGFILE sub\nEXPECT-MAC 00000000\n",
+    "bad.mvt": b"KEY 1 2\n",
+    "count.mvt": "MSGGEN \u00b2\n".encode(),
+    "latin.mvt": b"CASE \xff\n",
+}
+_INPUT_OPTIONS = [["--hex"], ["--key", "80018001:80018000"], ["--key", "zz"], ["-"],
+                  *([name] for name in FUZZ_FILES), ["sub"], ["missing"]]
+# command: (required options, other options); junk tokens may follow.
+FUZZ_COMMANDS = {
+    "mac": (["--key", KEY], _INPUT_OPTIONS),
+    "verify": (["--key", KEY, "--mac", "2128988B"], [*_INPUT_OPTIONS, ["--mac", "0"]]),
+    "trace": (["--key", KEY], [*_INPUT_OPTIONS, ["-o", "out"], ["--output", "sub"]]),
+    "selftest": (
+        [],
+        [*(["--vectors", name] for name in [*FUZZ_FILES, "missing.mvt", "sub"]),
+         ["--data-dir", "sub"], ["--inject-fault"]],
+    ),
+    "bench": ([], []),
+    "gen": ([], [["-o", "out"], ["--output", "sub"]]),
+}
+fuzz_junk = st.sampled_from(
+    ["", "x", "-1", "3", "--blocks", "-o", "--", "--frob", "--hex", "--vectors", "\u00b2"]
+)
+fuzz_argv = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(
+    lambda command: st.builds(
+        lambda options, junk: [command, *FUZZ_COMMANDS[command][0], *sum(options, []), *junk],
+        st.lists(st.sampled_from(FUZZ_COMMANDS[command][1] or [[]]), max_size=3),
+        st.lists(fuzz_junk, max_size=1),
+    )
+)
+
+
+class TestMainFuzz:
+    @given(
+        fuzz_argv,
+        st.integers(-2, 600),
+        st.sampled_from([b"", b"abcdefgh", b"4245 0A0A", b"zz", b"\xff\xfe"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_exit_codes_come_out(self, tmp_path_factory, argv, n_blocks, stdin):
+        work = tmp_path_factory.mktemp("main")
+        for name, data in FUZZ_FILES.items():
+            (work / name).write_bytes(data)
+        (work / "sub").mkdir()
+        if argv[0] in ("bench", "gen"):  # the last --blocks wins
+            argv = [*argv, "--blocks", str(n_blocks)]
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            code, _, _ = run_main(*argv, stdin=stdin)
+        except SystemExit as exit:  # argparse's usage error
+            assert exit.code == 2
+        else:
+            assert code in {0, 1, 2, 3, 4}
+        finally:
+            os.chdir(cwd)
 
 
 def test_usage_error_without_command():

@@ -346,6 +346,15 @@ class TestSegment:
         for s in segs[:-1]:
             assert len(s) == 256
 
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 600])
+    def test_generator_segments_are_segment_of_make_message(self, n):
+        segs = list(core._message_segments(n))
+        assert segs == [tuple(s) for s in segment(make_message(n))]
+
+    def test_generator_segments_check_the_count_at_the_call(self):
+        with pytest.raises(ValueError):
+            core._message_segments(-1)
+
 
 class TestMac:
     @pytest.mark.parametrize("n", [0, 1, 4, 255, 256])

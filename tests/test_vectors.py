@@ -1,13 +1,15 @@
 """Vector corpus, file format, runner, and tracer."""
 
 import textwrap
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maa32 import core, vectors
-from maa32.core import Key, mac, make_message
+from maa32.core import Key, mac, make_message, pad_message
 from maa32.vectors import (
     ExpectMac,
     ExpectPrelude,
@@ -20,7 +22,6 @@ from maa32.vectors import (
     VectorFormatError,
     builtin_corpus,
     emit_trace,
-    format_cases,
     parse_vector_file,
     parse_vector_text,
     run_vectors,
@@ -82,6 +83,40 @@ mvt_texts = st.builds(
     st.sampled_from(["\n", "\r\n"]),
     st.sampled_from(["", "\n", "\n# trailing\n\n"]),
 )
+
+
+# Message source trees: a leaf (0-9 inline bytes, so 0-3 pad bytes; 0-600
+# generated blocks; or a file of FILE_SIZES) under up to three REPEATs.
+FILE_SIZES = {"empty.bin": 0, "three.bin": 3, "segment.bin": 1024, "segment-plus-5.bin": 1029}
+source_leaves = (
+    st.binary(max_size=9).map(InlineHex)
+    | st.integers(0, 600).map(Generated)
+    | st.sampled_from(sorted(FILE_SIZES)).map(FileRef)
+)
+source_trees = st.builds(
+    lambda leaf, counts: reduce(Repeated, counts, leaf),
+    source_leaves,
+    st.lists(st.integers(1, 3), max_size=3),
+)
+
+
+def materialise(source, base_dir):
+    """The whole message of a source, as lists: padded bytes, generated blocks, list * count."""
+    if isinstance(source, InlineHex):
+        return pad_message(source.data)
+    if isinstance(source, Generated):
+        return make_message(source.n_blocks)
+    if isinstance(source, FileRef):
+        return pad_message((Path(base_dir) / source.path).read_bytes())
+    return materialise(source.inner, base_dir) * source.count
+
+
+@pytest.fixture(scope="module")
+def message_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("messages")
+    for name, size in FILE_SIZES.items():
+        (path / name).write_bytes(bytes((37 * i + 11) & 0xFF for i in range(size)))
+    return str(path)
 
 
 class TestBuiltinCorpus:
@@ -147,6 +182,52 @@ class TestBuiltinCorpus:
         )
         report = run_vectors([case], base_dir=str(tmp_path))
         assert report.results[0].status == vectors.STATUS_PASS
+
+
+class TestLazySources:
+    """The runner makes each message as it is consumed; it must equal the whole list."""
+
+    @given(source_trees, st.sampled_from([STANDARD_KEY, Key(0x80018001, 0x80018000)]))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_the_materialised_message(self, message_dir, source, key):
+        blocks = materialise(source, message_dir)
+        cases = [
+            VectorCase("mac", key, source, ExpectMac(mac(key, blocks))),
+            VectorCase("trace", key, source, ExpectTrace(emit_trace(key, blocks).render())),
+        ]
+        report = run_vectors(cases, base_dir=message_dir)
+        assert [r.status for r in report.results] == [vectors.STATUS_PASS] * 2, report
+
+    @pytest.mark.parametrize(
+        "inner,reads",
+        [
+            (InlineHex(b""), 1),
+            (FileRef("empty.bin"), 1),
+            (Generated(0), 1),
+            (Generated(1), 1000),
+            (InlineHex(b"\x01"), 1000),
+        ],
+    )
+    def test_repeat_rereads_its_source_unless_it_is_empty(
+        self, monkeypatch, message_dir, inner, reads
+    ):
+        calls = []
+
+        def counted(real):
+            def read(*args):
+                calls.append(1)
+                return real(*args)
+
+            return read
+
+        for name in "_read_segments", "_message_blocks":
+            monkeypatch.setattr(vectors, name, counted(getattr(vectors, name)))
+        source = Repeated(inner, 1000)
+        want = mac(STANDARD_KEY, materialise(source, message_dir))
+        case = VectorCase("repeat", STANDARD_KEY, source, ExpectMac(want))
+        (result,) = run_vectors([case], base_dir=message_dir).results
+        assert result.status == vectors.STATUS_PASS
+        assert len(calls) == reads
 
 
 class TestTrace:
@@ -378,33 +459,6 @@ class TestParser:
         with pytest.raises(VectorFormatError) as err:
             parse_vector_text("KEY 00000001 00000002\nMSGHEX 012\nEXPECT-MAC 00000000\n")
         assert "odd length" in str(err.value)
-
-    def test_round_trip_through_formatter(self):
-        text = textwrap.dedent(
-            """\
-            CASE one
-            KEY 00000001 00000002
-            MSGHEX 0011223344
-            EXPECT-MAC 0A0B0C0D
-
-            CASE two
-            KEY E6A12F07 9D15C437
-            MSGGEN 84
-            REPEAT 7
-            EXPECT-MAC C6E3D000
-
-            CASE three
-            KEY E6A12F07 9D15C437
-            MSGFILE message.bin
-            EXPECT-TRACE golden.trace
-
-            CASE four
-            KEY E6A12F07 9D15C437
-            EXPECT-PRELUDE 00000001 00000002 00000003 00000004 00000005 00000006
-            """
-        )
-        cases = parse_vector_text(text)
-        assert parse_vector_text(format_cases(cases)) == cases
 
 
 class TestRunner:
