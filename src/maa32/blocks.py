@@ -9,7 +9,8 @@ words:
 * multiplication modulo 2**32 - 1 and modulo 2**32 - 2, built by folding
   the high half of the 64-bit product back into the low half (an end-around
   carry for 2**32 - 1, a doubled carry for 2**32 - 2, since 2**32 leaves
-  remainder 1 and 2 respectively).
+  remainder 1 and 2 respectively).  Which representative a fold returns is
+  part of the algorithm, so each multiplication pins its own.
 
 Two masking steps keep multiplier operands away from degenerate values:
 ``fix1``/``fix2`` force a few bits on and a few bits off, so the result is
@@ -43,11 +44,16 @@ if FIX1_SET & FIX1_KEEP != FIX1_SET or FIX2_SET & FIX2_KEEP != FIX2_SET:
     raise AssertionError("fix mask constants are inconsistent")
 
 
-# Every byte of a block pair set to 01, to 80 and to FF, for byt_pat's
-# test for a 00 or FF byte.
-_BYTES_01 = 0x0101010101010101
-_BYTES_80 = 0x8080808080808080
-_BYTES_FF = 0xFFFFFFFFFFFFFFFF
+def _byte_masks(n_bytes: int) -> tuple[int, int, int]:
+    """Every byte of an n-byte word set to 01, to 80 and to FF."""
+    ones = int.from_bytes(b"\x01" * n_bytes, "big")
+    return ones, ones << 7, ones * 0xFF
+
+
+# _has_00_or_ff's masks for a block pair, and for the three pairs of
+# combined key powers packed into one 24-byte word.
+_PAIR_BYTES = _byte_masks(8)
+_SIX_BLOCK_BYTES = _byte_masks(24)
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -106,15 +112,19 @@ def mul1(x: int, y: int) -> int:
 def mul2(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 2: carries fold back with weight two.
 
-    The high half u is doubled with its own carry folded back (at most
-    0xFFFFFFFE), added to the low half, and that carry is folded back
-    doubled; when it is 1 the sum is at most 0xFFFFFFFD, so neither fold
-    can itself overflow.
+    The representative is the one a two-stage fold gives: the high half
+    doubled, with its carry folded back doubled, plus the low half, with
+    that carry folded back doubled.  Both folds subtract 2**32 - 2 from a
+    value above 0xFFFFFFFF, so the result is 2 * high + low less 2**32 - 2
+    for as long as that sum stays above 0xFFFFFFFF, at most twice.
     """
     p = x * y
-    u = (p >> 32) << 1
-    s = (u & MASK) + ((u >> 32) << 1) + (p & MASK)
-    return (s & MASK) + ((s >> 32) << 1)
+    s = p - (p >> 32) * (MASK - 1)  # 2 * high + low
+    if s > MASK:
+        s -= MASK - 1
+        if s > MASK:
+            s -= MASK - 1
+    return s
 
 
 def mul2a(x: int, y: int) -> int:
@@ -144,10 +154,7 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
     starts at 0 never carry past its eighth bit, so P needs no mask.
     """
     x = (a << 32) | b
-    ones = x ^ _BYTES_FF
-    # x has a 00 byte exactly when (x - 0101..01) & ~x & 8080..80 is
-    # nonzero, and an FF byte exactly when ~x has a 00 byte.
-    if not ((x - _BYTES_01) & ones | (ones - _BYTES_01) & x) & _BYTES_80:
+    if not _has_00_or_ff(x):
         return ConditioningResult(a, b, 0)
     p = 0
     for shift in range(56, -8, -8):
@@ -156,6 +163,18 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
             p += 1
             x ^= p << shift
     return ConditioningResult(x >> 32, x & MASK, p)
+
+
+def _has_00_or_ff(x: int, masks: tuple[int, int, int] = _PAIR_BYTES) -> bool:
+    """True when some byte of x is 00 or FF; masks, from _byte_masks, set x's width.
+
+    x has a 00 byte exactly when (x - 0101..01) & ~x & 8080..80 is nonzero,
+    and an FF byte exactly when ~x has a 00 byte.  A borrow can flag a
+    byte above a 00 byte as well, but only where some byte really is 00.
+    """
+    ones, highs, all_ff = masks
+    inverse = x ^ all_ff
+    return ((x - ones) & inverse | (inverse - ones) & x) & highs != 0
 
 
 def block_hex(x: int) -> str:

@@ -14,7 +14,7 @@ memory; a regular file over the length cap is refused before it is read.
 ``trace`` reads at most one byte past the cap, refuses over-cap input
 before writing anything, and writes each segment's lines as they are made.
 With ``--hex`` the input is read as hex digits with all whitespace ignored,
-and refused as soon as its non-blank characters pass the cap.  ``gen`` and
+and refused as soon as the bytes it decodes to pass the cap.  ``gen`` and
 ``bench`` make their message a segment at a time, so no command holds more
 than the capped input.
 
@@ -118,18 +118,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _hex_bytes(path: str) -> bytes:
-    """The bytes of hex text, whitespace ignored, counted as the text is read."""
+    """The bytes of hex text, whitespace ignored, counted as they are decoded.
+
+    Each 64 KiB read is decoded at once; an odd trailing digit is carried
+    into the next read.  The bytes decoded before a non-hex character
+    count toward the length cap, so that text over the cap is refused as
+    too long even when it goes on with something other than hex.
+    """
     parts = []
-    n_digits = 0
+    n_bytes = 0
+    carry = ""
     with nullcontext(sys.stdin) if path == "-" else open(path, "r") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), ""):
-            parts.append("".join(chunk.split()))
-            n_digits += len(parts[-1])
-            core._check_byte_count(n_digits // 2)
-    digits = "".join(parts)
-    if len(digits) % 2 or not is_hex(digits):
+            digits = carry + "".join(chunk.split())
+            even = len(digits) & ~1
+            carry = digits[even:]
+            try:
+                parts.append(bytes.fromhex(digits[:even]))
+            except ValueError:
+                bad = next(i for i, c in enumerate(digits) if not is_hex(c))
+                core._check_byte_count(n_bytes + bad // 2)
+                raise ValueError("input is not an even run of hex digits") from None
+            n_bytes += len(parts[-1])
+            core._check_byte_count(n_bytes)
+    if carry:
         raise ValueError("input is not an even run of hex digits")
-    return bytes.fromhex(digits)
+    return b"".join(parts)
 
 
 @contextmanager

@@ -41,7 +41,6 @@ import io
 import struct
 from functools import lru_cache
 from itertools import chain, islice
-from operator import xor
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 from .blocks import (
@@ -50,6 +49,8 @@ from .blocks import (
     FIX2_KEEP,
     FIX2_SET,
     MASK,
+    _SIX_BLOCK_BYTES,
+    _has_00_or_ff,
     byt_pat,
     cyc,
     fix1,
@@ -161,19 +162,39 @@ def prelude_intermediate(key: Key) -> PreludeIntermediate:
 
 
 def _expand(j: int, k: int) -> PreludeIntermediate:
-    """prelude_intermediate of checked key words, in 18 folded multiplications."""
-    powers = []
-    for mul in mul1, mul2:
-        j2 = mul(j, j)
-        j4 = mul(j2, j2)
-        k2 = mul(k, k)
-        k5 = mul(mul(k2, k2), k)
-        k7 = mul(k5, k2)
-        powers.append((j4, k5, mul(j4, j2), k7, mul(j4, j4), mul(k7, k2)))
-    h4, h5, h6, h7, h8, h9 = map(xor, *powers)
-    if byt_pat(j, k).pattern:
+    """prelude_intermediate of checked key words.
+
+    Under 2**32 - 1 the powers are plain residues, and mul1's
+    representative is restored once per power: a nonzero product
+    congruent to 0 is 0xFFFFFFFF.  2**32 - 1 is squarefree, so a power is
+    congruent to 0 only when its word is, and its product is 0 only when
+    its word is 0.  Under 2**32 - 2 the representative depends on every
+    fold on the way, so the nine mul2 products are made one by one.
+    """
+    m = MASK
+    j2 = j * j % m
+    j4 = j2 * j2 % m
+    k2 = k * k % m
+    k5 = k2 * k2 * k % m
+    k7 = k5 * k2 % m
+    j6, j8, k9 = j4 * j2 % m, j4 * j4 % m, k7 * k2 % m
+    jr, kr = j and m, k and m  # representative of a power that is 0 mod m
+    j2_2 = mul2(j, j)
+    j4_2 = mul2(j2_2, j2_2)
+    k2_2 = mul2(k, k)
+    k5_2 = mul2(mul2(k2_2, k2_2), k)
+    k7_2 = mul2(k5_2, k2_2)
+    h5 = (k5 or kr) ^ k5_2
+    if _has_00_or_ff(j << 32 | k):
         h5 = mul2(h5, 4)
-    return PreludeIntermediate(h4, h5, h6, h7, h8, h9)
+    return PreludeIntermediate(
+        (j4 or jr) ^ j4_2,
+        h5,
+        (j6 or jr) ^ mul2(j4_2, j2_2),
+        (k7 or kr) ^ k7_2,
+        (j8 or jr) ^ mul2(j4_2, j4_2),
+        (k9 or kr) ^ mul2(k7_2, k2_2),
+    )
 
 
 def prelude(key: Key) -> PreludeOutput:
@@ -192,11 +213,18 @@ def prelude(key: Key) -> PreludeOutput:
 
 @lru_cache(maxsize=PRELUDE_CACHE_SIZE)
 def _cached_prelude(j: int, k: int) -> PreludeOutput:
-    h = _expand(j, k)
-    x0, y0, _ = byt_pat(h.h4, h.h5)
-    v0, w, _ = byt_pat(h.h6, h.h7)
-    s, t, _ = byt_pat(h.h8, h.h9)
-    return PreludeOutput(x0, y0, v0, w, s, t)
+    h4, h5, h6, h7, h8, h9 = _expand(j, k)
+    # All 24 bytes are tested at once; byt_pat runs only on a pair with a
+    # 00 or FF byte, since it leaves a clean pair as it is.
+    six = h4 << 160 | h5 << 128 | h6 << 96 | h7 << 64 | h8 << 32 | h9
+    if _has_00_or_ff(six, _SIX_BLOCK_BYTES):
+        if _has_00_or_ff(h4 << 32 | h5):
+            h4, h5, _ = byt_pat(h4, h5)
+        if _has_00_or_ff(h6 << 32 | h7):
+            h6, h7, _ = byt_pat(h6, h7)
+        if _has_00_or_ff(h8 << 32 | h9):
+            h8, h9, _ = byt_pat(h8, h9)
+    return PreludeOutput(h4, h5, h6, h7, h8, h9)
 
 
 def main_loop_step(state: LoopState, w: int, m: int) -> LoopState:
@@ -225,7 +253,7 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     if len(blocks) > SEGMENT_BLOCKS + 1:
         raise ValueError("segment unit longer than %d blocks" % (SEGMENT_BLOCKS + 1))
     x, y = pre.x0, pre.y0
-    mask = MASK
+    mask, twos = MASK, MASK - 1
     a, c = FIX1_SET, FIX1_KEEP
     b, d = FIX2_SET, FIX2_KEEP
     # The E table is cached per key, next to the prelude; the coda's S and
@@ -233,20 +261,36 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     for m, e in zip(chain(blocks, (pre.s, pre.t)), _e_table(pre.v0, pre.w)):
         # Inlined main_loop_step.  The fix operands need no 32-bit mask,
         # since both keep masks clear the high bits; mul1 is blocks.mul1's
-        # fold; the mul2a fold doubles its carry, and its high half is
-        # below 2**31 because the fix2 operand is.
+        # fold.  The high half of the mul2a product is below 2**31, because
+        # the fix2 operand is, so 2 * high + low is below 2**33 - 2 and one
+        # compare-and-subtract of 2**32 - 2 gives mul2a's representative.
         p = (x ^ m) * (((e + y) | a) & c)
         x = p % mask or (p and mask)
         p = (y ^ m) * (((e + x) | b) & d)
-        s = ((p >> 32) << 1) + (p & mask)
-        y = (s & mask) + ((s >> 32) << 1)
+        y = p - (p >> 32) * twos
+        if y > mask:
+            y -= twos
     return x ^ y
+
+
+# _e_table's 32 lanes of 96 bits, first lane most significant.  Lane i
+# (1..32) holds V0V0 << i, whose bits 32..63 are rot(V0, i), XORed with W.
+_LANE_BITS = 96
+_LANES = 32
+_ROTATE_LANES = sum(1 << (_LANE_BITS * (_LANES - i) + i) for i in range(1, _LANES + 1))
+_W_LANES = sum(1 << (_LANE_BITS * (_LANES - i) + 32) for i in range(1, _LANES + 1))
+_UNPACK_LANES = struct.Struct(">" + "4xI4x" * _LANES)
 
 
 @lru_cache(maxsize=PRELUDE_CACHE_SIZE)
 def _e_table(v0: int, w: int) -> tuple[int, ...]:
-    """E = rot(V0, i) ^ W for i = 1..288: period 32, 9 times, covers a unit and its coda."""
-    return tuple(((v0 << i | v0 >> (32 - i)) & MASK) ^ w for i in range(1, 33)) * 9
+    """E = rot(V0, i) ^ W for i = 1..288: period 32, 9 times, covers a unit and its coda.
+
+    One multiplication shifts V0V0 into every lane at once; the lanes do
+    not overlap, since V0V0 << 32 is below 2**96.
+    """
+    lanes = ((v0 << 32 | v0) * _ROTATE_LANES) ^ (w * _W_LANES)
+    return _UNPACK_LANES.unpack(lanes.to_bytes(_UNPACK_LANES.size, "big")) * 9
 
 
 def segment(message: list[int]) -> list[list[int]]:

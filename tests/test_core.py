@@ -24,6 +24,7 @@ from maa32.core import (
     process_segment,
     segment,
 )
+from test_blocks import composed_mul1, composed_mul2, scanned_byt_pat
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 keys = st.builds(Key, u32, u32)
@@ -195,6 +196,76 @@ class TestPrelude:
     def test_cached_result_equals_a_fresh_expansion(self, key):
         prelude(key)
         assert prelude(key) == core._cached_prelude.__wrapped__(*key)
+
+
+def reference_expansion(j, k):
+    """The key's expansion, its working values and its E table, rebuilt from
+    the composed word operations, the byte-by-byte scan and a cyc loop.
+
+    Every power is folded one multiplication at a time, in the order the
+    algorithm's power chain takes, so this shares no code with the
+    expansion a cache miss runs.
+    """
+
+    def chain(mul, base):
+        p2 = mul(base, base)
+        p4 = mul(p2, p2)
+        p5 = mul(p4, base)
+        p7 = mul(p5, p2)
+        return {4: p4, 5: p5, 6: mul(p4, p2), 7: p7, 8: mul(p4, p4), 9: mul(p7, p2)}
+
+    c1, c2 = chain(composed_mul1, j), chain(composed_mul2, j)
+    d1, d2 = chain(composed_mul1, k), chain(composed_mul2, k)
+    h5 = d1[5] ^ d2[5]
+    if scanned_byt_pat(j, k)[2]:
+        h5 = composed_mul2(h5, 4)
+    h = (c1[4] ^ c2[4], h5, c1[6] ^ c2[6], d1[7] ^ d2[7], c1[8] ^ c2[8], d1[9] ^ d2[9])
+    pre = tuple(w for i in (0, 2, 4) for w in scanned_byt_pat(h[i], h[i + 1])[:2])
+    return h, pre, reference_e_table(pre[2], pre[3])
+
+
+def reference_e_table(v0, w):
+    """rot(V0, i) ^ W for i = 1..288, one cyc at a time."""
+    table = []
+    v = v0
+    for _ in range(288):
+        v = blocks.cyc(v)
+        table.append(v ^ w)
+    return tuple(table)
+
+
+# Words at the edges of both moduli and of the 00/FF byte rule.
+EDGE_WORDS = [
+    0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF, 0x00FF00FF, 0xFF00FF00,
+]
+# Keys whose bytes are often 00, 01, FE or FF.
+_corner_key_bytes = st.sampled_from([0x00, 0x01, 0xFE, 0xFF]) | st.integers(0, 255)
+corner_keys = st.lists(_corner_key_bytes, min_size=8, max_size=8).map(
+    lambda raw: Key(int.from_bytes(bytes(raw[:4]), "big"), int.from_bytes(bytes(raw[4:]), "big"))
+)
+
+
+class TestKeyExpansionMiss:
+    """What a cache miss builds, against reference_expansion."""
+
+    @staticmethod
+    def check(j, k):
+        h, pre, table = reference_expansion(j, k)
+        assert prelude_intermediate(Key(j, k)) == h
+        assert core._cached_prelude.__wrapped__(j, k) == pre
+        assert core._e_table.__wrapped__(pre[2], pre[3]) == table
+        # Raw words as V0 and W too, which conditioning never leaves.
+        assert core._e_table.__wrapped__(j, k) == reference_e_table(j, k)
+
+    @pytest.mark.parametrize("j", EDGE_WORDS)
+    @pytest.mark.parametrize("k", EDGE_WORDS)
+    def test_edge_word_pairs(self, j, k):
+        self.check(j, k)
+
+    @given(corner_keys | keys)
+    @settings(max_examples=300)
+    def test_keys_with_corner_bytes(self, key):
+        self.check(*key)
 
 
 class TestMainLoop:
