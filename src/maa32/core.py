@@ -10,13 +10,16 @@ to a block boundary).  Authentication runs in three phases:
   W, and two trailer blocks S and T.  This depends only on the key, so
   the results for the most recently used keys are cached: many messages
   under one key pay for the expansion once.
-* main loop: per message block M, rotate V, derive E = V XOR W, then
-      X := mul1(X XOR M, fix1(E + Y))
-      Y := mul2a(Y XOR M, fix2(E + X))
-  where the Y update reads the freshly updated X.  fix2 keeps its output
-  below 2**31, which is what makes mul2a safe here.  V rotates one bit
-  per block, so the i-th E is rot(V0, i) XOR W and repeats every 32
-  blocks; like the prelude, that table of E is cached per key.
+* main loop: per message block M, rotate V, derive E = V XOR W, XOR M
+  into both X and Y, then
+      X := mul1(X, fix1(E + Y))
+      Y := mul2a(Y, fix2(E + X))
+  where both right-hand sides read the XORed X and Y: ISO 8731-2 forms
+  both operands before either product, so the Y update never reads the
+  new X.  fix2 keeps its output below 2**31, which is what makes mul2a
+  safe here.  V rotates one bit per block, so the i-th E is
+  rot(V0, i) XOR W and repeats every 32 blocks; like the prelude, that
+  table of E is cached per key.
 * coda: two extra loop iterations with M = S and M = T, then the result
   is X XOR Y.
 
@@ -231,9 +234,8 @@ def main_loop_step(state: LoopState, w: int, m: int) -> LoopState:
     """One absorbing iteration; see the module docstring for the dataflow."""
     v = cyc(state.v)
     e = v ^ w
-    x = mul1(state.x ^ m, fix1((e + state.y) & MASK))
-    y = mul2a(state.y ^ m, fix2((e + x) & MASK))
-    return LoopState(x, y, v)
+    x, y = state.x ^ m, state.y ^ m
+    return LoopState(mul1(x, fix1((e + y) & MASK)), mul2a(y, fix2((e + x) & MASK)), v)
 
 
 def coda(state: LoopState, w: int, s: int, t: int) -> int:
@@ -259,15 +261,18 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     # The E table is cached per key, next to the prelude; the coda's S and
     # T take the two entries after the last message block.
     for m, e in zip(chain(blocks, (pre.s, pre.t)), _e_table(pre.v0, pre.w)):
-        # Inlined main_loop_step.  The fix operands need no 32-bit mask,
+        # Inlined main_loop_step: both products take their operands from
+        # the XORed X and Y.  The fix operands need no 32-bit mask,
         # since both keep masks clear the high bits; mul1 is blocks.mul1's
         # fold.  The high half of the mul2a product is below 2**31, because
         # the fix2 operand is, so 2 * high + low is below 2**33 - 2 and one
         # compare-and-subtract of 2**32 - 2 gives mul2a's representative.
-        p = (x ^ m) * (((e + y) | a) & c)
+        x ^= m
+        y ^= m
+        p = x * (((e + y) | a) & c)
+        q = y * (((e + x) | b) & d)
         x = p % mask or (p and mask)
-        p = (y ^ m) * (((e + x) | b) & d)
-        y = p - (p >> 32) * twos
+        y = q - (q >> 32) * twos
         if y > mask:
             y -= twos
     return x ^ y

@@ -15,10 +15,10 @@ import time
 
 import pytest
 
-from maa32 import blocks, oracle, vectors
+import spec_model as model
+from maa32 import blocks, vectors
 from maa32.blocks import byt_pat, cyc, fix1, fix2, high_mul, low_mul, mul1, mul2
 from maa32.core import Key, mac, mac_bytes, make_message, prelude, process_segment, segment
-from test_blocks import mul1_parts
 
 KEY = Key(0xE6A12F07, 0x9D15C437)
 EDGE = [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]
@@ -50,20 +50,24 @@ def test_criterion_1_conditioning_published_triples_exact_under_1ms():
 
 
 def test_criterion_2_multiplications_congruent_to_oracle_on_100k_pairs_under_10s():
+    # The oracle is the spec model: mul1 and mul2 must return the
+    # standard's MUL1 and MUL2 representatives, each congruent to the
+    # plain product under its modulus.
     pairs = _sample_pairs()
     start = time.perf_counter()
     failures = 0
     for x, y in pairs:
-        if mul1(x, y) % oracle.MODULUS_ONES != oracle.mod_mul_ref(x, y, oracle.MODULUS_ONES):
+        r1, r2 = mul1(x, y), mul2(x, y)
+        if r1 != model.MUL1(x, y) or r1 % (2**32 - 1) != x * y % (2**32 - 1):
             failures += 1
-        if mul2(x, y) % oracle.MODULUS_TWOS != oracle.mod_mul_ref(x, y, oracle.MODULUS_TWOS):
+        if r2 != model.MUL2(x, y) or r2 % (2**32 - 2) != x * y % (2**32 - 2):
             failures += 1
     elapsed = time.perf_counter() - start
     assert failures == 0, "%d congruence failures" % failures
     assert elapsed < 10.0, "took %.2fs, bound is 10s" % elapsed
     print(
-        "criterion 2: mul1/mul2 congruent on %d pairs (incl. %d edge corners), %.2fs"
-        % (len(pairs), len(EDGE) ** 2, elapsed)
+        "criterion 2: mul1/mul2 equal MUL1/MUL2 and congruent on %d pairs"
+        " (incl. %d edge corners), %.2fs" % (len(pairs), len(EDGE) ** 2, elapsed)
     )
 
 
@@ -71,7 +75,9 @@ def test_criterion_3_product_halves_match_oracle_on_100k_pairs_under_10s():
     pairs = _sample_pairs()
     start = time.perf_counter()
     failures = sum(
-        1 for x, y in pairs if (high_mul(x, y), low_mul(x, y)) != oracle.wide_product(x, y)
+        1
+        for x, y in pairs
+        if (high_mul(x, y), low_mul(x, y)) != (model.HIGH_MUL(x, y), model.LOW_MUL(x, y))
     )
     elapsed = time.perf_counter() - start
     assert failures == 0, "%d product-split failures" % failures
@@ -80,10 +86,14 @@ def test_criterion_3_product_halves_match_oracle_on_100k_pairs_under_10s():
 
 
 def test_criterion_4_mul1_carry_is_single_bit_on_every_sampled_invocation():
+    # mul1 is the sum of the product halves with the carry of that sum
+    # folded back; the carry is one bit on every sampled pair.
     pairs = _sample_pairs()
     for x, y in pairs:
-        _, carry = mul1_parts(x, y)
+        u, l = model.HIGH_MUL(x, y), model.LOW_MUL(x, y)
+        carry = model.CAR(u, l)
         assert carry in (0, 1), "carry %r for %08X * %08X" % (carry, x, y)
+        assert mul1(x, y) == model.ADD(model.ADD(u, l), carry), "%08X * %08X" % (x, y)
     print("criterion 4: mul1 carry in {0,1} on all %d invocations" % len(pairs))
 
 
@@ -144,7 +154,10 @@ def test_criterion_6_published_588_block_mac_requires_external_message():
     report = vectors.run_vectors([case], base_dir=base_dir)
     result = report.results[0]
     assert result.status == vectors.STATUS_PASS, result.detail
-    print("criterion 6: published 588-block MAC reproduced from %s" % base_dir)
+    with open(os.path.join(base_dir, vectors.ISO_MESSAGE_FILENAME), "rb") as fh:
+        text = fh.read()
+    assert model.MAC_BYTES(*KEY, text * 7) == vectors.ISO_588_MAC
+    print("criterion 6: published 588-block MAC reproduced by engine and model from %s" % base_dir)
 
 
 def test_criterion_7_frozen_regression_outputs_byte_for_byte():
@@ -200,7 +213,7 @@ def test_criterion_9_cli_contract_end_to_end(tmp_path):
     corrupt = tmp_path / "corrupt.mvt"
     corrupt.write_text(
         "CASE corrupted\nKEY E6A12F07 9D15C437\nMSGGEN 8\nEXPECT-MAC %08X\n"
-        % (0x2128988B ^ 1)
+        % (0x2D77E4B7 ^ 1)
     )
     failed = subprocess.run(
         exe + ["selftest", "--vectors", str(corrupt)],

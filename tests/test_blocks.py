@@ -1,10 +1,16 @@
-"""Block primitives: known answers, then properties against the oracle."""
+"""Block primitives: known answers, then properties against the spec model.
+
+``spec_model`` is ISO 8731-2 written out on plain integers; the
+multiplications and the byte conditioning must return its representatives
+exactly, and congruences are checked with plain ``%``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa32 import blocks, oracle
+import spec_model as model
+from maa32 import blocks
 from maa32.blocks import (
     FIX1_KEEP,
     FIX1_SET,
@@ -27,6 +33,10 @@ u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 # Corners every arithmetic routine has to survive.
 EDGE = [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]
+
+# The two moduli the algorithm multiplies under.
+ONES = 2**32 - 1
+TWOS = 2**32 - 2
 
 
 class TestLogicOps:
@@ -62,12 +72,12 @@ class TestAddCar:
 class TestProductHalves:
     @given(u32, u32)
     def test_matches_wide_product(self, x, y):
-        assert (high_mul(x, y), low_mul(x, y)) == oracle.wide_product(x, y)
+        assert (high_mul(x, y), low_mul(x, y)) == (model.HIGH_MUL(x, y), model.LOW_MUL(x, y))
 
     @pytest.mark.parametrize("x", EDGE)
     @pytest.mark.parametrize("y", EDGE)
     def test_edge_corners(self, x, y):
-        assert (high_mul(x, y), low_mul(x, y)) == oracle.wide_product(x, y)
+        assert (high_mul(x, y), low_mul(x, y)) == (model.HIGH_MUL(x, y), model.LOW_MUL(x, y))
 
 
 class TestFixMasks:
@@ -99,19 +109,6 @@ class TestFixMasks:
         assert fix2(x) < 2**31
 
 
-def mul1_parts(x, y):
-    """Folded sum and carry of mul1's fold, in word operations, for tests
-    that watch the carry; mul1 itself computes the same fold inline."""
-    u = high_mul(x, y)
-    l = low_mul(x, y)
-    s = add(u, l)
-    c = car(u, l)
-    # u and l never exceed 2**32 - 1, so their sum carries at most one bit.
-    if c not in (0, 1):
-        raise AssertionError("mul1 carry out of range")
-    return s, c
-
-
 class TestMul1:
     def test_examples(self):
         assert mul1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
@@ -124,12 +121,15 @@ class TestMul1:
     def test_congruent_mod_ones(self, x, y):
         r = mul1(x, y)
         assert 0 <= r <= 0xFFFFFFFF
-        assert r % oracle.MODULUS_ONES == oracle.mod_mul_ref(x, y, oracle.MODULUS_ONES)
+        assert r % ONES == x * y % ONES
 
     @given(u32, u32)
     def test_carry_is_single_bit(self, x, y):
-        _, c = mul1_parts(x, y)
-        assert c in (0, 1)
+        # mul1 is the sum of the product halves with its carry folded
+        # back, and that carry is one bit, since both halves are words.
+        u, l = model.HIGH_MUL(x, y), model.LOW_MUL(x, y)
+        assert model.CAR(u, l) in (0, 1)
+        assert mul1(x, y) == model.ADD(model.ADD(u, l), model.CAR(u, l))
 
     @given(u32, u32)
     def test_commutes(self, x, y):
@@ -142,14 +142,14 @@ class TestMul2:
         assert mul2(1, 1) == 1
         # (2**32 - 1) is congruent to 1, so the fold may answer with the
         # large representative of small residues.
-        assert mul2(0xFFFFFFFF, 0xFFFFFFFF) % oracle.MODULUS_TWOS == 1
+        assert mul2(0xFFFFFFFF, 0xFFFFFFFF) % TWOS == 1
 
     @given(u32, u32)
     @settings(max_examples=300)
     def test_congruent_mod_twos(self, x, y):
         r = mul2(x, y)
         assert 0 <= r <= 0xFFFFFFFF
-        assert r % oracle.MODULUS_TWOS == oracle.mod_mul_ref(x, y, oracle.MODULUS_TWOS)
+        assert r % TWOS == x * y % TWOS
 
     @given(u32, u32)
     def test_commutes(self, x, y):
@@ -158,12 +158,8 @@ class TestMul2:
     @pytest.mark.parametrize("x", EDGE)
     @pytest.mark.parametrize("y", EDGE)
     def test_edge_corners_both_muls(self, x, y):
-        assert mul1(x, y) % oracle.MODULUS_ONES == oracle.mod_mul_ref(
-            x, y, oracle.MODULUS_ONES
-        )
-        assert mul2(x, y) % oracle.MODULUS_TWOS == oracle.mod_mul_ref(
-            x, y, oracle.MODULUS_TWOS
-        )
+        assert mul1(x, y) % ONES == x * y % ONES
+        assert mul2(x, y) % TWOS == x * y % TWOS
 
 
 class TestMul2a:
@@ -171,15 +167,11 @@ class TestMul2a:
     @settings(max_examples=300)
     def test_congruent_on_conditioned_operand(self, x, y):
         # fix2 output is below 2**31, the range mul2a is valid in.
-        assert mul2a(x, y) % oracle.MODULUS_TWOS == oracle.mod_mul_ref(
-            x, y, oracle.MODULUS_TWOS
-        )
+        assert mul2a(x, y) % TWOS == x * y % TWOS
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), u32)
     def test_congruent_whenever_one_operand_small(self, x, y):
-        assert mul2a(x, y) % oracle.MODULUS_TWOS == oracle.mod_mul_ref(
-            x, y, oracle.MODULUS_TWOS
-        )
+        assert mul2a(x, y) % TWOS == x * y % TWOS
 
     @given(u32, u32)
     def test_total_and_in_range(self, x, y):
@@ -190,45 +182,7 @@ class TestMul2a:
         # future "simplification" to plain mul2 would be caught.
         x = y = 0xFFFFFFF0
         assert mul2a(x, y) != mul2(x, y)
-        assert mul2(x, y) % oracle.MODULUS_TWOS == oracle.mod_mul_ref(
-            x, y, oracle.MODULUS_TWOS
-        )
-
-
-# mul1, mul2, mul2a and byt_pat as compositions of the word operations
-# (product halves, add, carry) and a byte-array scan.  The primitives fold
-# in fewer steps; they must return exactly these representatives, not
-# merely congruent ones, because the MAC depends on the representative.
-
-
-def composed_mul1(x, y):
-    u, l = high_mul(x, y), low_mul(x, y)
-    return add(add(u, l), car(u, l))
-
-
-def composed_mul2(x, y):
-    u, l = high_mul(x, y), low_mul(x, y)
-    f = add(add(u, u), add(car(u, u), car(u, u)))
-    s, c = add(f, l), car(f, l)
-    return add(s, add(c, c))
-
-
-def composed_mul2a(x, y):
-    u, l = high_mul(x, y), low_mul(x, y)
-    f = add(u, u)
-    s, c = add(f, l), car(f, l)
-    return add(s, add(c, c))
-
-
-def scanned_byt_pat(a, b):
-    raw = bytearray(a.to_bytes(4, "big") + b.to_bytes(4, "big"))
-    p = 0
-    for i in range(8):
-        p = (2 * p) & 0xFF
-        if raw[i] in (0x00, 0xFF):
-            p += 1
-            raw[i] ^= p
-    return int.from_bytes(raw[:4], "big"), int.from_bytes(raw[4:], "big"), p
+        assert mul2(x, y) % TWOS == x * y % TWOS
 
 
 @st.composite
@@ -245,7 +199,15 @@ dirty_u32 = st.lists(
     st.sampled_from([0x00, 0xFF]) | st.integers(0, 255), min_size=4, max_size=4
 ).map(lambda raw: int.from_bytes(bytes(raw), "big"))
 
-MULS = [(mul1, composed_mul1), (mul2, composed_mul2), (mul2a, composed_mul2a)]
+# The primitives fold in fewer steps than the standard's MUL1, MUL2 and
+# MUL2A, which are composed of the word operations (product halves, ADD,
+# CAR); they must return exactly the standard's representatives, not
+# merely congruent ones, because the MAC depends on the representative.
+MULS = [
+    pytest.param(mul1, model.MUL1, id="mul1-composed_mul1"),
+    pytest.param(mul2, model.MUL2, id="mul2-composed_mul2"),
+    pytest.param(mul2a, model.MUL2A, id="mul2a-composed_mul2a"),
+]
 
 
 class TestExactRepresentatives:
@@ -263,19 +225,19 @@ class TestExactRepresentatives:
 
     def test_mul1_keeps_the_all_ones_representative(self):
         # 0xFFFF * 0x10001 = 2**32 - 1: congruent to 0, returned as 0xFFFFFFFF.
-        assert composed_mul1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
+        assert model.MUL1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
         assert mul1(0x0000FFFF, 0x00010001) == 0xFFFFFFFF
-        assert mul1(0xFFFFFFFF, 1) == composed_mul1(0xFFFFFFFF, 1) == 0xFFFFFFFF
+        assert mul1(0xFFFFFFFF, 1) == model.MUL1(0xFFFFFFFF, 1) == 0xFFFFFFFF
 
     @pytest.mark.parametrize("a", EDGE)
     @pytest.mark.parametrize("b", EDGE)
     def test_byt_pat_edge_corners(self, a, b):
-        assert byt_pat(a, b) == scanned_byt_pat(a, b)
+        assert byt_pat(a, b) == model.BYT(a, b)
 
     @given(u32 | dirty_u32, u32 | dirty_u32)
     @settings(max_examples=400)
     def test_byt_pat(self, a, b):
-        assert byt_pat(a, b) == scanned_byt_pat(a, b)
+        assert byt_pat(a, b) == model.BYT(a, b)
 
 
 # Byte values on both sides of the two the 00/FF test looks for, and of

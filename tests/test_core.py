@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa32 import blocks, core, oracle
+import spec_model as model
+from maa32 import blocks, core
 from maa32.core import (
     MAX_MESSAGE_BLOCKS,
     MAX_MESSAGE_BYTES,
@@ -24,7 +25,6 @@ from maa32.core import (
     process_segment,
     segment,
 )
-from test_blocks import composed_mul1, composed_mul2, scanned_byt_pat
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 keys = st.builds(Key, u32, u32)
@@ -199,28 +199,18 @@ class TestPrelude:
 
 
 def reference_expansion(j, k):
-    """The key's expansion, its working values and its E table, rebuilt from
-    the composed word operations, the byte-by-byte scan and a cyc loop.
+    """The key's expansion, its working values and its E table, under the
+    engine's present key rule, rebuilt from the spec model and a cyc loop.
 
-    Every power is folded one multiplication at a time, in the order the
-    algorithm's power chain takes, so this shares no code with the
-    expansion a cache miss runs.
+    The model's EXPANSION walks the standard's power chain one
+    multiplication at a time, so this shares no code with the expansion a
+    cache miss runs.  The engine's rule differs from the standard's
+    PRELUDE on keys with a 00 or FF byte: it expands the raw key words,
+    not BYT's conditioned ones, and takes Q = 4 for such a key (Q = 1 for
+    a clean key, where both rules agree).
     """
-
-    def chain(mul, base):
-        p2 = mul(base, base)
-        p4 = mul(p2, p2)
-        p5 = mul(p4, base)
-        p7 = mul(p5, p2)
-        return {4: p4, 5: p5, 6: mul(p4, p2), 7: p7, 8: mul(p4, p4), 9: mul(p7, p2)}
-
-    c1, c2 = chain(composed_mul1, j), chain(composed_mul2, j)
-    d1, d2 = chain(composed_mul1, k), chain(composed_mul2, k)
-    h5 = d1[5] ^ d2[5]
-    if scanned_byt_pat(j, k)[2]:
-        h5 = composed_mul2(h5, 4)
-    h = (c1[4] ^ c2[4], h5, c1[6] ^ c2[6], d1[7] ^ d2[7], c1[8] ^ c2[8], d1[9] ^ d2[9])
-    pre = tuple(w for i in (0, 2, 4) for w in scanned_byt_pat(h[i], h[i + 1])[:2])
+    h = model.EXPANSION(j, k, 4 if model.PAT(j, k) else 1)
+    pre = tuple(w for i in (0, 2, 4) for w in model.BYT(h[i], h[i + 1])[:2])
     return h, pre, reference_e_table(pre[2], pre[3])
 
 
@@ -278,24 +268,27 @@ class TestMainLoop:
         assert out == LoopState(0x02040801, 0, 0)
 
     @given(u32, u32, u32, u32, u32)
-    def test_y_update_reads_fresh_x(self, x, y, v, w, m):
+    def test_both_updates_read_the_words_xored_with_m(self, x, y, v, w, m):
+        # ISO 8731-2 XORs M into X and into Y first, then forms
+        # F = E + (Y ^ M) and G = E + (X ^ M), both before either product:
+        # the Y update never reads the new X.
         out = main_loop_step(LoopState(x, y, v), w, m)
         v2 = blocks.cyc(v)
         e = v2 ^ w
-        x2 = blocks.mul1(x ^ m, blocks.fix1((e + y) & 0xFFFFFFFF))
-        y2 = blocks.mul2a(y ^ m, blocks.fix2((e + x2) & 0xFFFFFFFF))
+        x2 = blocks.mul1(x ^ m, blocks.fix1((e + (y ^ m)) & 0xFFFFFFFF))
+        y2 = blocks.mul2a(y ^ m, blocks.fix2((e + (x ^ m)) & 0xFFFFFFFF))
         assert out == LoopState(x2, y2, v2)
+        assert tuple(out) == model.MAIN_LOOP(x, y, v, w, m)
 
     @given(u32, u32, u32, u32, u32)
     def test_y_stays_congruent_despite_cheap_multiply(self, x, y, v, w, m):
-        # The in-loop mul2a is only valid because fix2 bounds one operand.
+        # The in-loop mul2a is only valid because fix2 bounds one operand:
+        # G, formed from E and X ^ M.
         out = main_loop_step(LoopState(x, y, v), w, m)
-        v2 = blocks.cyc(v)
-        e = v2 ^ w
-        operand = blocks.fix2((e + out.x) & 0xFFFFFFFF)
-        assert out.y % oracle.MODULUS_TWOS == oracle.mod_mul_ref(
-            y ^ m, operand, oracle.MODULUS_TWOS
-        )
+        e = blocks.cyc(v) ^ w
+        g = blocks.fix2((e + (x ^ m)) & 0xFFFFFFFF)
+        assert g < 2**31
+        assert out.y % (2**32 - 2) == (y ^ m) * g % (2**32 - 2)
 
 
 class TestProcessSegment:
