@@ -209,7 +209,6 @@ def _cmd_selftest(args) -> int:
 
     from . import vectors
 
-    groups: list[tuple[list[vectors.VectorCase], str]] = []
     builtin = vectors.builtin_corpus()
     if args.inject_fault:
         for i, case in enumerate(builtin):
@@ -218,11 +217,11 @@ def _cmd_selftest(args) -> int:
                 expect = vectors.ExpectMac(case.expect.value ^ 1)
                 builtin[i] = replace(case, name=name, expect=expect)
                 break
-    groups.append((builtin, args.data_dir))
+    groups = [(builtin, args.data_dir)]
     for path in args.vectors:
         try:
             parsed = vectors.parse_vector_file(path)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             print("cannot read %s: %s" % (path, err), file=sys.stderr)
             return 2
         except vectors.VectorFormatError as err:
@@ -230,22 +229,17 @@ def _cmd_selftest(args) -> int:
             return 2
         groups.append((parsed, os.path.dirname(path) or "."))
 
-    failed = 0
-    skipped = 0
-    passed = 0
+    results: list[vectors.VectorResult] = []
     for cases, base_dir in groups:
-        report = vectors.run_vectors(cases, base_dir=base_dir)
-        for result in report.results:
-            line = "%s %s" % (result.status, result.name)
-            if result.detail:
-                line += ": " + result.detail
-            print(line)
-        failed += report.failed
-        skipped += report.skipped
-        passed += report.passed
-
-    print("passed=%d failed=%d skipped=%d" % (passed, failed, skipped))
-    return 4 if failed else 0
+        results += vectors.run_vectors(cases, base_dir=base_dir).results
+    report = vectors.VectorReport(tuple(results))
+    for result in report.results:
+        line = "%s %s" % (result.status, result.name)
+        if result.detail:
+            line += ": " + result.detail
+        print(line)
+    print("passed=%d failed=%d skipped=%d" % (report.passed, report.failed, report.skipped))
+    return 0 if report.ok else 4
 
 
 def _cmd_bench(args) -> int:

@@ -28,12 +28,14 @@ Relative paths resolve against the directory given to ``run_vectors``; a
 referenced file that does not exist makes the case SKIPPED, not failed,
 which is how optional externally-supplied suites are gated in.
 
-The runner makes a case's message as it is consumed: bytes (``MSGHEX``,
-``MSGFILE``) are read and padded by the reader ``mac_bytes`` uses, blocks
-are checked by ``mac``'s segment source, and a message that reaches the
-length cap FAILs there.  A MAC case never holds its whole message; a
-trace case checks its message in a first pass, holding one segment at a
-time, and traces a second, so an over-cap trace case is bounded too.
+The runner runs a case in one pass over its message.  Every message
+source knows its length before any block is made (a file by its size), so
+a message that reaches the length cap FAILs before it is read, with its
+length as the detail.  The message is then made as it is consumed: bytes
+(``MSGHEX``, ``MSGFILE``) are read and padded by the reader ``mac_bytes``
+uses, and blocks are checked, and capped once more, by ``mac``'s segment
+source.  A trace case streams its trace against the golden text a line at
+a time, so no case holds its whole message or trace.
 
 Traces render one line per absorbed block (chaining and trailer blocks
 included, numbered straight through), a ``Z<i>=`` line per segment, and a
@@ -45,7 +47,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator, Sequence, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
@@ -55,6 +57,7 @@ from .core import (
     MessageTooLong,
     PreludeOutput,
     _block_segments,
+    _check_block_count,
     _message_blocks,
     _read_segments,
     mac,
@@ -113,6 +116,27 @@ class _MissingFile(Exception):
         self.path = path
 
 
+def _existing_path(path: str, base_dir: str) -> str:
+    """path against base_dir (an absolute path stays as is); _MissingFile if absent."""
+    full = os.path.join(base_dir, path)
+    if not os.path.exists(full):
+        raise _MissingFile(path)
+    return full
+
+
+def _source_length(source: MessageSource, base_dir: str) -> int:
+    """The source's length in blocks, known before any block is made."""
+    if isinstance(source, InlineHex):
+        return -(-len(source.data) // 4)
+    if isinstance(source, Generated):
+        return source.n_blocks
+    if isinstance(source, Repeated):
+        return source.count * _source_length(source.inner, base_dir)
+    if isinstance(source, FileRef):
+        return -(-os.path.getsize(_existing_path(source.path, base_dir)) // 4)
+    raise TypeError("unknown message source: %r" % (source,))
+
+
 def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
     """The source's blocks, made as they are consumed; byte data is padded per source."""
     if isinstance(source, InlineHex):
@@ -128,13 +152,8 @@ def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
             yield first
             yield from blocks
     elif isinstance(source, FileRef):
-        path = os.path.join(base_dir, source.path)  # an absolute path stays as is
-        if not os.path.exists(path):
-            raise _MissingFile(source.path)
-        with open(path, "rb") as fh:
+        with open(_existing_path(source.path, base_dir), "rb") as fh:
             yield from chain.from_iterable(_read_segments(fh))
-    else:
-        raise TypeError("unknown message source: %r" % (source,))
 
 
 # ---------------------------------------------------------------------------
@@ -450,79 +469,65 @@ def _run_one(case: VectorCase, base_dir: str) -> VectorResult:
 def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
     expect = case.expect
     if isinstance(expect, ExpectConditioning):
-        got = byt_pat(*expect.inputs)
-        if got == expect.result:
-            return VectorResult(case.name, STATUS_PASS)
-        return VectorResult(
-            case.name,
-            STATUS_FAIL,
-            "computed=%s %s %02X expected=%s %s %02X"
-            % (
-                block_hex(got.first),
-                block_hex(got.second),
-                got.pattern,
-                block_hex(expect.result.first),
-                block_hex(expect.result.second),
-                expect.result.pattern,
-            ),
-        )
+        return _compared(case.name, byt_pat(*expect.inputs), expect.result, _conditioning_hex)
     if case.key is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no key")
     if isinstance(expect, ExpectPrelude):
-        got6 = tuple(prelude(case.key))
-        if got6 == expect.values:
-            return VectorResult(case.name, STATUS_PASS)
-        return VectorResult(
-            case.name,
-            STATUS_FAIL,
-            "computed=%s expected=%s"
-            % (
-                " ".join(block_hex(v) for v in got6),
-                " ".join(block_hex(v) for v in expect.values),
-            ),
-        )
+        return _compared(case.name, prelude(case.key), expect.values)
     if case.source is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no message")
+    golden_path = None
+    if isinstance(expect, ExpectTrace) and expect.text is None:
+        # Before the message is sized: a missing golden SKIPs, a non-ASCII one is an error.
+        golden_path = _existing_path(expect.path or "", base_dir)
+        with open(golden_path, encoding="ascii") as golden:
+            try:
+                while golden.read(1 << 16):
+                    pass
+            except UnicodeDecodeError as err:
+                raise ValueError("cannot read %s: %s" % (golden_path, err)) from None
+    _check_block_count(_source_length(case.source, base_dir))
     blocks = _source_blocks(case.source, base_dir)
     if isinstance(expect, ExpectMac):
-        got = mac(case.key, blocks)
-        if got == expect.value:
-            return VectorResult(case.name, STATUS_PASS)
-        return VectorResult(
-            case.name,
-            STATUS_FAIL,
-            "computed=%s expected=%s" % (block_hex(got), block_hex(expect.value)),
-        )
+        return _compared(case.name, (mac(case.key, blocks),), (expect.value,))
     if isinstance(expect, ExpectTrace):
-        golden = expect.text
-        if golden is None:
-            path = os.path.join(base_dir, expect.path or "")
-            if not os.path.exists(path):
-                raise _MissingFile(expect.path or "")
-            with open(path, "r", encoding="ascii") as fh:
-                golden = fh.read()
-        # emit_trace holds the message before it traces, so a first pass
-        # checks and counts it a segment at a time: an over-cap message
-        # fails there.  The trace takes a second resolution of the source.
-        for _ in _block_segments(blocks):
-            pass
-        rendered = emit_trace(case.key, _source_blocks(case.source, base_dir)).render()
-        if rendered == golden:
-            return VectorResult(case.name, STATUS_PASS)
-        return VectorResult(case.name, STATUS_FAIL, _first_divergence(rendered, golden))
+        lines = trace_lines(trace_segments(prelude(case.key), _block_segments(blocks)))
+        if golden_path is None:
+            detail = _first_divergence(lines, io.StringIO(expect.text, newline="\n"))
+        else:
+            with open(golden_path, encoding="ascii") as golden:
+                detail = _first_divergence(lines, golden)
+        return VectorResult(case.name, STATUS_FAIL if detail else STATUS_PASS, detail)
     return VectorResult(case.name, STATUS_FAIL, "unknown expectation: %r" % (expect,))
 
 
-def _first_divergence(rendered: str, golden: str) -> str:
-    got_lines = rendered.splitlines()
-    want_lines = golden.splitlines()
-    for i, (g, w) in enumerate(zip(got_lines, want_lines), 1):
-        if g != w:
-            return "trace line %d: computed=%r expected=%r" % (i, g, w)
-    return "trace length: computed=%d lines expected=%d lines" % (
-        len(got_lines),
-        len(want_lines),
-    )
+def _words(values: Iterable[int]) -> str:
+    return " ".join(map(block_hex, values))
+
+
+def _conditioning_hex(result: ConditioningResult) -> str:
+    return "%s %02X" % (_words(result[:2]), result.pattern)
+
+
+def _compared(name: str, computed, expected, render=_words) -> VectorResult:
+    """PASS if computed equals expected, else a FAIL giving both as render writes them."""
+    if computed == expected:
+        return VectorResult(name, STATUS_PASS)
+    detail = "computed=%s expected=%s" % (render(computed), render(expected))
+    return VectorResult(name, STATUS_FAIL, detail)
+
+
+def _first_divergence(computed: Iterator[str], expected: Iterator[str]) -> str:
+    """Where two texts, given a line at a time, first differ; "" if they are equal."""
+    for n, (got, want) in enumerate(zip_longest(computed, expected, fillvalue=""), 1):
+        if not (got and want):  # one text ended before line n
+            return "trace length: computed=%d lines expected=%d lines" % (
+                n - 1 + bool(got) + sum(1 for _ in computed),
+                n - 1 + bool(want) + sum(1 for _ in expected),
+            )
+        if got != want:
+            return "trace line %d: computed=%r expected=%r" % (n, got[:-1], want.rstrip("\n"))
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +605,8 @@ def _split_cases(text: str) -> Iterator[tuple[list[_Row], int]]:
     rows: list[_Row] = []
     has_expectation = False
     number = 0
-    for number, raw in enumerate(text.splitlines(), 1):
+    # Lines end at \n, \r\n or \r, not at the other breaks str.splitlines knows.
+    for number, raw in enumerate(io.StringIO(text, newline=None), 1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue

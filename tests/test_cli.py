@@ -379,6 +379,32 @@ class TestSelftestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "line 2" in proc.stderr.decode()
 
+    def test_vector_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "latin1.mvt"
+        path.write_bytes(b"# caf\xe9\n")
+        code, out, err = run_main("selftest", "--vectors", str(path))
+        assert (code, out) == (2, b"")
+        assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte 0xe9" % path)
+
+    @pytest.mark.parametrize(
+        "n_blocks,text",
+        [
+            (1, b"N=1 caf\xe9\n"),
+            (1, b"N=1 diverges here\n" + b"#" * 99999 + b"\ncaf\xe9\n"),
+            (4000000, b"N=1 caf\xe9\n"),
+        ],
+        ids=["first-line", "after-divergence", "over-cap"],
+    )
+    def test_golden_trace_that_is_not_ascii_is_named(self, tmp_path, n_blocks, text):
+        golden = tmp_path / "latin1.trace"
+        golden.write_bytes(text)
+        (tmp_path / "t.mvt").write_text(
+            "KEY %s %s\nMSGGEN %d\nEXPECT-TRACE latin1.trace\n" % (KEY[:8], KEY[9:], n_blocks)
+        )
+        code, out, err = run_main("selftest", "--vectors", str(tmp_path / "t.mvt"))
+        assert (code, out) == (2, b"")
+        assert err.startswith("cannot read %s: 'ascii' codec can't decode byte 0xe9" % golden)
+
     @pytest.mark.parametrize(
         "path,base_dir", [("/x.mvt", "/"), ("x.mvt", "."), ("a/b.mvt", "a")]
     )
@@ -436,9 +462,9 @@ class TestBoundedMemory:
     @pytest.mark.parametrize(
         "source,detail",
         [
-            ("MSGGEN 4000000", "message has 1000000 blocks; limit is 1000000"),
-            ("MSGGEN 1\nREPEAT 4000000", "message has 1000000 blocks; limit is 1000000"),
-            ("MSGFILE big.bin", "message has 4000768 bytes; limit is 3999996"),
+            ("MSGGEN 4000000", "message has 4000000 blocks; limit is 1000000"),
+            ("MSGGEN 1\nREPEAT 4000000", "message has 4000000 blocks; limit is 1000000"),
+            ("MSGFILE big.bin", "message has 10485760 blocks; limit is 1000000"),
         ],
         ids=["msggen", "repeat", "msgfile"],
     )
@@ -466,8 +492,23 @@ class TestBoundedMemory:
         )
         code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
         assert (code, err) == (4, "")
-        assert "FAIL big: message has 1000000 blocks; limit is 1000000\n" in out
+        assert "FAIL big: message has 4000000 blocks; limit is 1000000\n" in out
         assert out.endswith("failed=1 skipped=1\n")
+        assert rss_mib < 30
+
+    def test_accepted_trace_case_streams_against_its_golden(self, tmp_path):
+        # Holding every record and the rendered trace peaked at 67.7 MiB.
+        message, golden = tmp_path / "m.bin", tmp_path / "m.trace"
+        assert run_cli("gen", "--blocks", "100000", "-o", str(message)).returncode == 0
+        proc = run_cli("trace", "--key", KEY, str(message), "-o", str(golden))
+        assert proc.returncode == 0, proc.stderr
+        path = tmp_path / "m.mvt"
+        path.write_text(
+            "CASE big\nKEY %s %s\nMSGGEN 100000\nEXPECT-TRACE m.trace\n" % (KEY[:8], KEY[9:])
+        )
+        code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
+        assert (code, err) == (0, "")
+        assert "PASS big\n" in out
         assert rss_mib < 30
 
     def test_bench_of_a_million_blocks(self):

@@ -74,7 +74,12 @@ mvt_cases = st.tuples(
     st.just([]) | well_formed("REPEAT"),
     st.sampled_from(["EXPECT-MAC", "EXPECT-PRELUDE", "EXPECT-TRACE"]).flatmap(well_formed),
 ).map(lambda parts: sum(parts, []))
-mvt_lines = st.sampled_from([[""], ["  "], ["# note"], ["  # KEY 00000000 00000000"]]) | (
+# Characters that str.splitlines takes as line ends but the format does not.
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+mvt_lines = st.sampled_from(
+    [[""], ["  "], ["# note"], ["  # KEY 00000000 00000000"]]
+    + [["# page break %s KEY 00000000 00000000" % c] for c in OTHER_BREAKS]
+) | (
     st.sampled_from([*well_formed_args, "FROB", "0", "key", "EXPECT-FOO"]).flatmap(any_line)
 )
 mvt_texts = st.builds(
@@ -109,6 +114,23 @@ def materialise(source, base_dir):
     if isinstance(source, FileRef):
         return pad_message((Path(base_dir) / source.path).read_bytes())
     return materialise(source.inner, base_dir) * source.count
+
+
+@pytest.fixture
+def source_reads(monkeypatch):
+    """One entry per call the runner makes to a byte or block source."""
+    calls = []
+
+    def counted(real):
+        def read(*args):
+            calls.append(1)
+            return real(*args)
+
+        return read
+
+    for name in "_read_segments", "_message_blocks":
+        monkeypatch.setattr(vectors, name, counted(getattr(vectors, name)))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -209,25 +231,44 @@ class TestLazySources:
         ],
     )
     def test_repeat_rereads_its_source_unless_it_is_empty(
-        self, monkeypatch, message_dir, inner, reads
+        self, source_reads, message_dir, inner, reads
     ):
-        calls = []
-
-        def counted(real):
-            def read(*args):
-                calls.append(1)
-                return real(*args)
-
-            return read
-
-        for name in "_read_segments", "_message_blocks":
-            monkeypatch.setattr(vectors, name, counted(getattr(vectors, name)))
         source = Repeated(inner, 1000)
         want = mac(STANDARD_KEY, materialise(source, message_dir))
         case = VectorCase("repeat", STANDARD_KEY, source, ExpectMac(want))
         (result,) = run_vectors([case], base_dir=message_dir).results
         assert result.status == vectors.STATUS_PASS
-        assert len(calls) == reads
+        assert len(source_reads) == reads
+
+    @given(source_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_length_is_known_before_any_block(self, message_dir, source):
+        want = len(materialise(source, message_dir))
+        assert vectors._source_length(source, message_dir) == want
+
+    @pytest.mark.parametrize(
+        "source,expect,n_blocks",
+        [
+            (Generated(4_000_000), ExpectMac(0), 4_000_000),
+            (Repeated(Generated(1), 4_000_000), ExpectMac(0), 4_000_000),
+            (FileRef("big.bin"), ExpectMac(0), 1_000_000),
+            (Repeated(FileRef("big.bin"), 3), ExpectMac(0), 3_000_000),
+            (Generated(4_000_000), ExpectTrace("MAC=00000000\n"), 4_000_000),
+            (Generated(4_000_000), ExpectTrace(path="big.trace"), 4_000_000),
+        ],
+        ids=["msggen", "repeat", "msgfile", "repeat-msgfile", "trace", "trace-file"],
+    )
+    def test_over_cap_message_is_refused_before_any_block(
+        self, tmp_path, source_reads, source, expect, n_blocks
+    ):
+        with open(tmp_path / "big.bin", "wb") as fh:
+            fh.truncate(core.MAX_MESSAGE_BYTES + 1)  # one byte more pads to the cap
+        (tmp_path / "big.trace").write_text("MAC=00000000\n")
+        case = VectorCase("big", STANDARD_KEY, source, expect)
+        (result,) = run_vectors([case], base_dir=str(tmp_path)).results
+        detail = "message has %d blocks; limit is 1000000" % n_blocks
+        assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
+        assert source_reads == []
 
 
 class TestTrace:
@@ -368,6 +409,22 @@ class TestParser:
         assert len(cases) == 2
         assert cases[1].key == Key(3, 4)
 
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_other_breaks_do_not_end_a_line(self, brk):
+        text = "KEY 00000001 00000002\n# page break %s here\nMSGGEN 1\nEXPECT-MAC 00000000\n"
+        (case,) = parse_vector_text(text % brk)
+        assert case.source == Generated(1)
+        with pytest.raises(VectorFormatError) as err:
+            parse_vector_text(text % brk + "BOGUS %s 1\n" % brk)
+        assert err.value.line_number == 5
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, end):
+        text = end.join(["# one", "KEY 00000001 00000002", "", "BOGUS", ""])
+        with pytest.raises(VectorFormatError) as err:
+            parse_vector_text(text)
+        assert err.value.line_number == 4
+
     def test_empty_input_yields_no_cases(self):
         assert parse_vector_text("") == []
         assert parse_vector_text("# only a comment\n\n") == []
@@ -500,6 +557,38 @@ class TestRunner:
         statuses = [r.status for r in report.results]
         assert statuses == [vectors.STATUS_PASS, vectors.STATUS_FAIL, vectors.STATUS_SKIP]
         assert "trace line 1" in report.results[1].detail
+
+    def test_trace_length_detail(self, tmp_path):
+        golden = emit_trace(STANDARD_KEY, make_message(2)).render()
+        short = golden[: golden.rindex("MAC=")]  # the last line left out
+        (tmp_path / "long.trace").write_text(golden + "MAC=00000000\n")
+        cases = [
+            VectorCase("short", STANDARD_KEY, Generated(2), ExpectTrace(short)),
+            VectorCase("long", STANDARD_KEY, Generated(2), ExpectTrace(path="long.trace")),
+            VectorCase("no-last-newline", STANDARD_KEY, Generated(2), ExpectTrace(golden[:-1])),
+        ]
+        report = run_vectors(cases, base_dir=str(tmp_path))
+        n = golden.count("\n")
+        length = "trace length: computed=%d lines expected=%d lines"
+        assert [(r.status, r.detail) for r in report.results[:2]] == [
+            (vectors.STATUS_FAIL, length % (n, n - 1)),
+            (vectors.STATUS_FAIL, length % (n, n + 1)),
+        ]
+        assert report.results[2].status == vectors.STATUS_FAIL  # texts must be equal
+
+    @pytest.mark.parametrize(
+        "source,expect",
+        [
+            (Generated(4_000_000), ExpectTrace(path="nope.trace")),
+            (Repeated(FileRef("nope.bin"), 4_000_000), ExpectMac(0)),
+            (Repeated(FileRef("nope.bin"), 4_000_000), ExpectTrace(path="nope.trace")),
+        ],
+    )
+    def test_missing_file_skips_an_over_cap_case(self, tmp_path, source, expect):
+        case = VectorCase("big", STANDARD_KEY, source, expect)
+        (result,) = run_vectors([case], base_dir=str(tmp_path)).results
+        assert result.status == vectors.STATUS_SKIP
+        assert result.detail.startswith("missing file: nope.")
 
     def test_too_long_message_is_a_failure_not_a_crash(self, tmp_path):
         case = VectorCase(
