@@ -13,7 +13,8 @@ lines are ignored, and every other line is a directive:
     EXPECT-PRELUDE <six 8 hex>       expected key expansion
     EXPECT-TRACE <path>              expected per-block trace (golden file)
 
-Hex words are exactly eight hex digits; counts are ASCII decimal.
+Hex words are exactly eight hex digits; counts are ASCII decimal.  A file
+is UTF-8 and may start with a byte order mark.
 
 A case holds one expectation.  ``CASE`` always opens a new case, and so
 does a body directive (``KEY``, ``MSGHEX``, ``MSGFILE``, ``MSGGEN``,
@@ -30,16 +31,16 @@ which is how optional externally-supplied suites are gated in.
 
 The runner runs a case in one pass over its message.  Every message
 source knows its length before any block is made (a file by its size), so
-a message that reaches the length cap FAILs before it is read, with its
-length as the detail.  The message is then made as it is consumed: bytes
-(``MSGHEX``, ``MSGFILE``) are read and padded by the reader ``mac_bytes``
-uses, and blocks are checked, and capped once more, by ``mac``'s segment
-source.  A trace case streams its trace against the golden text a line at
-a time, so no case holds its whole message or trace.
+a message that reaches the length cap FAILs unread, its length as the
+detail.  The message is then made as it is consumed: bytes (``MSGHEX``,
+``MSGFILE``) are read and padded by ``mac_bytes``'s reader, and blocks are
+checked, and capped once more, by ``mac``'s segment source.
 
-Traces render one line per absorbed block (chaining and trailer blocks
-included, numbered straight through), a ``Z<i>=`` line per segment, and a
-final ``MAC=`` line, all values as eight uppercase hex digits.
+A trace is ASCII bytes: one line per absorbed block (chaining and trailer
+blocks included, numbered straight through), a ``Z<i>=`` line per segment
+and a final ``MAC=`` line, values as eight uppercase hex digits, every line
+ending in ``\n``.  A trace case streams it against its golden a line at a
+time and compares bytes, line ends included: a CRLF golden FAILs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import io
 import os
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Sequence, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
 from .core import (
@@ -246,7 +247,7 @@ class MacTrace:
     mac: int
 
     def render(self) -> str:
-        return "".join(trace_lines(self.segments))
+        return b"".join(trace_lines(self.segments)).decode()
 
 
 def emit_trace(key: Key, message: Iterable[int]) -> MacTrace:
@@ -284,8 +285,8 @@ def trace_segments(
         yield SegmentTrace(tuple(records), z)
 
 
-def trace_lines(segments: Iterable[SegmentTrace]) -> Iterator[str]:
-    """The rendered trace, a newline-terminated line at a time.
+def trace_lines(segments: Iterable[SegmentTrace]) -> Iterator[bytes]:
+    """The rendered trace as ASCII bytes, a ``\\n``-terminated line at a time.
 
     An ``N=`` line per absorbed block, a ``Z<i>=`` line per segment, then
     the ``MAC=`` line: the last segment's result.  Values are eight
@@ -294,10 +295,10 @@ def trace_lines(segments: Iterable[SegmentTrace]) -> Iterator[str]:
     z = None
     for i, seg in enumerate(segments, 1):
         for r in seg.records:
-            yield "N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (r.n, r.m, r.x, r.y, r.v)
+            yield b"N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (r.n, r.m, r.x, r.y, r.v)
         z = seg.z
-        yield "Z%d=%08X\n" % (i, z)
-    yield "MAC=%08X\n" % z
+        yield b"Z%d=%08X\n" % (i, z)
+    yield b"MAC=%08X\n" % z
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +477,32 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
         return _compared(case.name, prelude(case.key), expect.values)
     if case.source is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no message")
-    golden_path = None
-    if isinstance(expect, ExpectTrace) and expect.text is None:
-        # Before the message is sized: a missing golden SKIPs, a non-ASCII one is an error.
-        golden_path = _existing_path(expect.path or "", base_dir)
-        with open(golden_path, encoding="ascii") as golden:
-            try:
-                while golden.read(1 << 16):
-                    pass
-            except UnicodeDecodeError as err:
-                raise ValueError("cannot read %s: %s" % (golden_path, err)) from None
+    if isinstance(expect, ExpectTrace):
+        # Before sizing: a missing golden SKIPs, a non-ASCII one is an error wherever it diverges.
+        with _golden(expect, base_dir) as golden:
+            for chunk in iter(lambda: golden.read(1 << 16), b""):
+                try:
+                    chunk.decode("ascii")
+                except UnicodeDecodeError as err:
+                    raise ValueError("cannot read %s: %s" % (golden.name, err)) from None
+            golden.seek(0)
+            _check_block_count(_source_length(case.source, base_dir))
+            blocks = _source_blocks(case.source, base_dir)
+            lines = trace_lines(trace_segments(prelude(case.key), _block_segments(blocks)))
+            detail = _first_divergence(lines, golden)
+        return VectorResult(case.name, STATUS_FAIL if detail else STATUS_PASS, detail)
     _check_block_count(_source_length(case.source, base_dir))
     blocks = _source_blocks(case.source, base_dir)
     if isinstance(expect, ExpectMac):
         return _compared(case.name, (mac(case.key, blocks),), (expect.value,))
-    if isinstance(expect, ExpectTrace):
-        lines = trace_lines(trace_segments(prelude(case.key), _block_segments(blocks)))
-        if golden_path is None:
-            detail = _first_divergence(lines, io.StringIO(expect.text, newline="\n"))
-        else:
-            with open(golden_path, encoding="ascii") as golden:
-                detail = _first_divergence(lines, golden)
-        return VectorResult(case.name, STATUS_FAIL if detail else STATUS_PASS, detail)
     return VectorResult(case.name, STATUS_FAIL, "unknown expectation: %r" % (expect,))
+
+
+def _golden(expect: ExpectTrace, base_dir: str) -> BinaryIO:
+    """The golden trace as bytes: inline text in ASCII with escapes, a file as stored."""
+    if expect.text is not None:
+        return io.BytesIO(expect.text.encode("ascii", "backslashreplace"))
+    return open(_existing_path(expect.path or "", base_dir), "rb")
 
 
 def _words(values: Iterable[int]) -> str:
@@ -517,16 +521,16 @@ def _compared(name: str, computed, expected, render=_words) -> VectorResult:
     return VectorResult(name, STATUS_FAIL, detail)
 
 
-def _first_divergence(computed: Iterator[str], expected: Iterator[str]) -> str:
-    """Where two texts, given a line at a time, first differ; "" if they are equal."""
-    for n, (got, want) in enumerate(zip_longest(computed, expected, fillvalue=""), 1):
+def _first_divergence(computed: Iterator[bytes], expected: Iterator[bytes]) -> str:
+    """Where two traces, lines of bytes with their ends, first differ; "" if they are equal."""
+    for n, (got, want) in enumerate(zip_longest(computed, expected, fillvalue=b""), 1):
         if not (got and want):  # one text ended before line n
             return "trace length: computed=%d lines expected=%d lines" % (
                 n - 1 + bool(got) + sum(1 for _ in computed),
                 n - 1 + bool(want) + sum(1 for _ in expected),
             )
         if got != want:
-            return "trace line %d: computed=%r expected=%r" % (n, got[:-1], want.rstrip("\n"))
+            return "trace line %d: computed=%r expected=%r" % (n, got.decode(), want.decode())
     return ""
 
 
@@ -546,7 +550,7 @@ def parse_vector_text(text: str, source_name: str = "<string>") -> list[VectorCa
 
 
 def parse_vector_file(path: str) -> list[VectorCase]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_vector_text(fh.read(), source_name=path)
 
 

@@ -302,6 +302,21 @@ class TestTraceCommand:
         assert to_file.returncode == 0, to_file.stderr
         assert out.read_text() == want
 
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
+    def test_output_is_the_rendering_in_ascii_bytes(self, tmp_path, n):
+        from maa32.vectors import emit_trace
+
+        data = blocks_to_bytes(make_message(n))
+        want = emit_trace(KEY_OBJ, make_message(n)).render().encode("ascii")
+        assert b"\r" not in want
+        to_stdout = run_cli("trace", "--key", KEY, stdin=data)
+        assert (to_stdout.returncode, to_stdout.stdout) == (0, want), to_stdout.stderr
+        out = tmp_path / "t.trace"
+        to_file = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
+        assert to_file.returncode == 0, to_file.stderr
+        assert out.read_bytes() == want
+        assert run_main("trace", "--key", KEY, stdin=data) == (0, want, "")
+
     def test_stdin_over_the_cap_exits_3_and_writes_nothing(self, tmp_path):
         data = bytes(MAX_MESSAGE_BYTES + 1)
         to_stdout = run_cli("trace", "--key", KEY, stdin=data)
@@ -385,6 +400,18 @@ class TestSelftestCommand:
         code, out, err = run_main("selftest", "--vectors", str(path))
         assert (code, out) == (2, b"")
         assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte 0xe9" % path)
+
+    def test_vector_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        body = "KEY %s %s\nMSGGEN 3\nEXPECT-MAC 025A07AF\n" % (KEY[:8], KEY[9:])
+        good, bad = tmp_path / "bom.mvt", tmp_path / "bom-latin1.mvt"
+        good.write_bytes(b"\xef\xbb\xbfCASE bom\n" + body.encode())
+        bad.write_bytes(b"\xef\xbb\xbf# caf\xe9\n" + body.encode())
+        code, out, err = run_main("selftest", "--vectors", str(good))
+        assert (code, err) == (0, "")
+        assert b"PASS bom\n" in out
+        code, out, err = run_main("selftest", "--vectors", str(bad))
+        assert (code, out) == (2, b"")
+        assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte 0xe9" % bad)
 
     @pytest.mark.parametrize(
         "n_blocks,text",

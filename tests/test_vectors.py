@@ -482,6 +482,20 @@ class TestParser:
         assert (err.value.source, err.value.line_number) == (str(path), 2)
         assert str(err.value) == "%s: line 2: unknown directive 'BOGUS'" % path
 
+    @pytest.mark.parametrize("first", ["CASE bom", "# a comment"])
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path, first):
+        path = tmp_path / "bom.mvt"
+        body = "%s\nKEY E6A12F07 9D15C437\nMSGGEN 3\nEXPECT-MAC 00000000\n" % first
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert parse_vector_file(str(path)) == parse_vector_text(body)
+
+    def test_byte_order_mark_is_dropped_only_at_the_start(self, tmp_path):
+        path = tmp_path / "bom.mvt"
+        path.write_bytes(b"# fine\n\xef\xbb\xbfCASE bom\n")
+        with pytest.raises(VectorFormatError) as err:
+            parse_vector_file(str(path))
+        assert str(err.value) == "%s: line 2: unknown directive '\\ufeffCASE'" % path
+
     def test_text_errors_name_the_source(self):
         with pytest.raises(VectorFormatError) as err:
             parse_vector_text("MSGGEN 1\nEXPECT-MAC 00000000\n", source_name="inline.mvt")
@@ -575,6 +589,44 @@ class TestRunner:
             (vectors.STATUS_FAIL, length % (n, n + 1)),
         ]
         assert report.results[2].status == vectors.STATUS_FAIL  # texts must be equal
+
+    def test_crlf_golden_fails_at_line_1_inline_and_from_a_file(self, tmp_path):
+        golden = emit_trace(STANDARD_KEY, make_message(2)).render().replace("\n", "\r\n")
+        (tmp_path / "crlf.trace").write_bytes(golden.encode())
+        cases = [
+            VectorCase("inline", STANDARD_KEY, Generated(2), ExpectTrace(golden)),
+            VectorCase("file", STANDARD_KEY, Generated(2), ExpectTrace(path="crlf.trace")),
+        ]
+        first = golden[: golden.index("\n") - 1]
+        detail = "trace line 1: computed=%r expected=%r" % (first + "\n", first + "\r\n")
+        assert "\\r\\n'" in detail
+        report = run_vectors(cases, base_dir=str(tmp_path))
+        assert [(r.status, r.detail) for r in report.results] == [
+            (vectors.STATUS_FAIL, detail)
+        ] * 2
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_missing_final_newline_shows_both_line_ends(self, tmp_path, as_file):
+        golden = emit_trace(STANDARD_KEY, make_message(2)).render()
+        (tmp_path / "g.trace").write_bytes(golden[:-1].encode())
+        expect = ExpectTrace(path="g.trace") if as_file else ExpectTrace(golden[:-1])
+        case = VectorCase("no-last-newline", STANDARD_KEY, Generated(2), expect)
+        (result,) = run_vectors([case], base_dir=str(tmp_path)).results
+        last = "MAC=%08X" % mac(STANDARD_KEY, make_message(2))
+        n = golden.count("\n")
+        detail = "trace line %d: computed='%s\\n' expected='%s'" % (n, last, last)
+        assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
+
+    @pytest.mark.parametrize("line", [1, 4, 7])
+    def test_inline_golden_with_a_non_ascii_character_fails_at_its_line(self, line):
+        lines = emit_trace(STANDARD_KEY, make_message(3)).render().splitlines(keepends=True)
+        want = lines[line - 1].replace("=", "\u00e9", 1)
+        golden = "".join(lines[: line - 1] + [want] + lines[line:])
+        case = VectorCase("latin", STANDARD_KEY, Generated(3), ExpectTrace(golden))
+        (result,) = run_vectors([case]).results
+        escaped = want.replace("\u00e9", "\\xe9")
+        detail = "trace line %d: computed=%r expected=%r" % (line, lines[line - 1], escaped)
+        assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
 
     @pytest.mark.parametrize(
         "source,expect",
