@@ -6,11 +6,12 @@ words:
 * plain bit logic: Python's own AND, OR and XOR, and a one-bit left
   rotation;
 * modulo 2**32 addition with the carry bit exposed separately;
-* multiplication modulo 2**32 - 1 and modulo 2**32 - 2, built by folding
-  the high half of the 64-bit product back into the low half (an end-around
-  carry for 2**32 - 1, a doubled carry for 2**32 - 2, since 2**32 leaves
-  remainder 1 and 2 respectively).  Which representative a fold returns is
-  part of the algorithm, so each multiplication pins its own.
+* multiplication modulo 2**32 - 1 and modulo 2**32 - 2, which the
+  standard defines by folding the high half of the 64-bit product back
+  into the low half (an end-around carry for 2**32 - 1, a doubled carry
+  for 2**32 - 2, since 2**32 leaves remainder 1 and 2 respectively).
+  Which representative a fold returns is part of the algorithm; each
+  multiplication here computes it in closed form from the product.
 
 Two masking steps keep multiplier operands away from degenerate values:
 ``fix1``/``fix2`` force a few bits on and a few bits off, so the result is
@@ -112,19 +113,13 @@ def mul1(x: int, y: int) -> int:
 def mul2(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 2: carries fold back with weight two.
 
-    The representative is the one a two-stage fold gives: the high half
-    doubled, with its carry folded back doubled, plus the low half, with
-    that carry folded back doubled.  Both folds subtract 2**32 - 2 from a
-    value above 0xFFFFFFFF, so the result is 2 * high + low less 2**32 - 2
-    for as long as that sum stays above 0xFFFFFFFF, at most twice.
+    Returns the representative the standard's two-stage fold gives: a
+    product below 2 as it is, and otherwise the one value in
+    [2, 0xFFFFFFFF] congruent to it, so a product of 2 or more congruent
+    to 0 or 1 gives 0xFFFFFFFE or 0xFFFFFFFF.
     """
     p = x * y
-    s = p - (p >> 32) * (MASK - 1)  # 2 * high + low
-    if s > MASK:
-        s -= MASK - 1
-        if s > MASK:
-            s -= MASK - 1
-    return s
+    return (p - 2) % (MASK - 1) + 2 if p > 1 else p
 
 
 def mul2a(x: int, y: int) -> int:

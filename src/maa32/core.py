@@ -3,9 +3,12 @@
 A message is a sequence of 32-bit blocks (byte input is padded with zeros
 to a block boundary).  Authentication runs in three phases:
 
-* key expansion ("prelude"): the two 32-bit key words are raised to small
-  powers under both near-2**32 moduli, the power pairs are XOR-combined,
-  and the results are byte-conditioned into six working values: two
+* key expansion ("prelude"): the two 32-bit key words are byte-conditioned
+  first (their 00 and FF bytes rewritten, with a pattern P recording
+  where), and Q = (1 + P)**2.  The conditioned words are raised to small
+  powers under both near-2**32 moduli, each power pair is XOR-combined,
+  the fifth-power combination is multiplied by Q modulo 2**32 - 2, and
+  the results are byte-conditioned into six working values: two
   multiplier accumulators X0 and Y0, a rotating word V0 with its XOR mask
   W, and two trailer blocks S and T.  This depends only on the key, so
   the results for the most recently used keys are cached: many messages
@@ -149,55 +152,46 @@ def _message_segments(n_blocks: int) -> Iterator[tuple[int, ...]]:
 
 
 def prelude_intermediate(key: Key) -> PreludeIntermediate:
-    """Expand the key into the six combined powers.
+    """Expand the key into the six combined powers H4..H9.
 
-    Even powers of the first key word and odd powers of the second are
-    computed under both moduli and the two representatives XORed.  When
-    the raw key contains a byte 00 or FF, the fifth-power combination is
-    additionally scaled by 4 modulo 2**32 - 2, marking conditioned keys;
-    clean keys take the combination as is.  Locked by the key-expansion
-    known answers in the test suite.
+    As ISO 8731-2 writes it: the key words are byte-conditioned first,
+    giving J1, K1 and the pattern P, and Q = (1 + P)**2.  Even powers of
+    J1 and odd powers of K1 are taken under both moduli and the two
+    representatives XORed; the fifth-power combination is then
+    multiplied by Q modulo 2**32 - 2.  A clean key (no 00 or FF byte) is
+    its own conditioned form, with Q = 1.
     """
     j, k = key
     _validate_block(j)
     _validate_block(k)
-    return _expand(j, k)
+    j, k, p = byt_pat(j, k)
+    return PreludeIntermediate(*_expand(j, k, (1 + p) ** 2))
 
 
-def _expand(j: int, k: int) -> PreludeIntermediate:
-    """prelude_intermediate of checked key words.
+def _expand(j: int, k: int, q: int) -> tuple[int, int, int, int, int, int]:
+    """H4..H9 of the conditioned key words j and k, and Q.
 
-    Under 2**32 - 1 the powers are plain residues, and mul1's
-    representative is restored once per power: a nonzero product
-    congruent to 0 is 0xFFFFFFFF.  2**32 - 1 is squarefree, so a power is
-    congruent to 0 only when its word is, and its product is 0 only when
-    its word is 0.  Under 2**32 - 2 the representative depends on every
-    fold on the way, so the nine mul2 products are made one by one.
+    Conditioning leaves no 00 byte, so both words are at least 01010101
+    and every product on the standard's power chains is at least 4.  On
+    such products mul1's and mul2's representatives depend only on the
+    residue, so each power is the exact power, reduced once per modulus.
     """
-    m = MASK
-    j2 = j * j % m
-    j4 = j2 * j2 % m
-    k2 = k * k % m
-    k5 = k2 * k2 * k % m
-    k7 = k5 * k2 % m
-    j6, j8, k9 = j4 * j2 % m, j4 * j4 % m, k7 * k2 % m
-    jr, kr = j and m, k and m  # representative of a power that is 0 mod m
-    j2_2 = mul2(j, j)
-    j4_2 = mul2(j2_2, j2_2)
-    k2_2 = mul2(k, k)
-    k5_2 = mul2(mul2(k2_2, k2_2), k)
-    k7_2 = mul2(k5_2, k2_2)
-    h5 = (k5 or kr) ^ k5_2
-    if _has_00_or_ff(j << 32 | k):
-        h5 = mul2(h5, 4)
-    return PreludeIntermediate(
-        (j4 or jr) ^ j4_2,
-        h5,
-        (j6 or jr) ^ mul2(j4_2, j2_2),
-        (k7 or kr) ^ k7_2,
-        (j8 or jr) ^ mul2(j4_2, j4_2),
-        (k9 or kr) ^ mul2(k7_2, k2_2),
+    j2, k2 = j * j, k * k
+    j4, k5 = j2 * j2, k2 * k2 * k
+    k7 = k5 * k2
+    return (
+        _both(j4),
+        mul2(_both(k5), q),
+        _both(j4 * j2),
+        _both(k7),
+        _both(j4 * j4),
+        _both(k7 * k2),
     )
+
+
+def _both(p: int) -> int:
+    """mul1's and mul2's representatives of p >= 2, XORed (see blocks)."""
+    return ((p - 1) % MASK + 1) ^ ((p - 2) % (MASK - 1) + 2)
 
 
 def prelude(key: Key) -> PreludeOutput:
@@ -216,17 +210,14 @@ def prelude(key: Key) -> PreludeOutput:
 
 @lru_cache(maxsize=PRELUDE_CACHE_SIZE)
 def _cached_prelude(j: int, k: int) -> PreludeOutput:
-    h4, h5, h6, h7, h8, h9 = _expand(j, k)
-    # All 24 bytes are tested at once; byt_pat runs only on a pair with a
-    # 00 or FF byte, since it leaves a clean pair as it is.
+    j, k, p = byt_pat(j, k)
+    h4, h5, h6, h7, h8, h9 = _expand(j, k, (1 + p) ** 2)
+    # All 24 bytes are tested at once; byt_pat leaves a clean pair as it is.
     six = h4 << 160 | h5 << 128 | h6 << 96 | h7 << 64 | h8 << 32 | h9
     if _has_00_or_ff(six, _SIX_BLOCK_BYTES):
-        if _has_00_or_ff(h4 << 32 | h5):
-            h4, h5, _ = byt_pat(h4, h5)
-        if _has_00_or_ff(h6 << 32 | h7):
-            h6, h7, _ = byt_pat(h6, h7)
-        if _has_00_or_ff(h8 << 32 | h9):
-            h8, h9, _ = byt_pat(h8, h9)
+        h4, h5, _ = byt_pat(h4, h5)
+        h6, h7, _ = byt_pat(h6, h7)
+        h8, h9, _ = byt_pat(h8, h9)
     return PreludeOutput(h4, h5, h6, h7, h8, h9)
 
 

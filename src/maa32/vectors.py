@@ -309,15 +309,25 @@ _DEGENERATE_KEY = Key(0x00000100, 0x00000080)
 
 # Conditioning answers published with the algorithm's test data.
 _CONDITIONING = [
-    ((0x00000003, 0x00000060), (0x01030703, 0x1D3B7760, 0xEE)),
-    ((0x00030000, 0x00060000), (0x0103050B, 0x17065DBB, 0xBB)),
-    ((0x00000005, 0x80000002), (0x01030705, 0x80397302, 0xE6)),
+    ((0x00000003, 0x00000060), ConditioningResult(0x01030703, 0x1D3B7760, 0xEE)),
+    ((0x00030000, 0x00060000), ConditioningResult(0x0103050B, 0x17065DBB, 0xBB)),
+    ((0x00000005, 0x80000002), ConditioningResult(0x01030705, 0x80397302, 0xE6)),
 ]
 
-# The key expansion of a clean key, published with the algorithm's test
-# data: X0 Y0 V0 W S T.
-_ISO_PRELUDE_KEY = Key(0x55555555, 0x5A35D667)
-_ISO_PRELUDE = (0x34ACF886, 0x7397C9AE, 0x7201F4DC, 0x2829040B, 0x9E2E7B36, 0x13647149)
+# Key expansions published with the algorithm's test data, X0 Y0 V0 W S
+# T: a clean key, and a key whose 00 and FF bytes BYT conditions first.
+_ISO_PRELUDES = {
+    Key(0x55555555, 0x5A35D667): (
+        0x34ACF886, 0x7397C9AE, 0x7201F4DC, 0x2829040B, 0x9E2E7B36, 0x13647149,
+    ),
+    Key(0x00FF00FF, 0x00000000): (
+        0x4A645A01, 0x50DEC930, 0x5CCA3239, 0xFECCAA6E, 0x51EDE9C7, 0x24B66FB5,
+    ),
+}
+
+# The published MAC of twenty zero blocks under a key with 00 bytes.
+_ZERO_BLOCKS_KEY = Key(0x80018001, 0x80018000)
+_ZERO_BLOCKS_MAC = 0xDB79FBDC
 
 # Frozen outputs of this implementation, not published values: each was
 # recorded once it equalled the test suite's spec-literal model of
@@ -337,7 +347,7 @@ _GENERATED_MACS = {
 _PREFIX_14_MAC = 0xFE183198  # bytes 42450A0A2020204361726566756C
 _REVERSED_8_MAC = 0x9CE7A889  # the 8-block generator message, blocks reversed
 _SWAPPED_600_MAC = 0x4DED4EA3  # 600 blocks with segments 2 and 3 exchanged
-_DEGENERATE_3_MAC = 0x4EBC5357  # 3 generator blocks under the degenerate key
+_DEGENERATE_3_MAC = 0x1440D515  # 3 generator blocks under the degenerate key
 
 # Golden trace of the 3-block generator message under the standard key;
 # regenerated only by deliberate decision, never in CI.
@@ -365,85 +375,40 @@ def builtin_corpus() -> list[VectorCase]:
     references an external message file and reports SKIP until one is
     supplied.
     """
-    cases: list[VectorCase] = []
-    for i, (inputs, (first, second, pattern)) in enumerate(_CONDITIONING, 1):
-        cases.append(
-            VectorCase(
-                name="conditioning-%d" % i,
-                key=None,
-                source=None,
-                expect=ExpectConditioning(
-                    inputs, ConditioningResult(first, second, pattern)
-                ),
-            )
-        )
-    cases.append(
-        VectorCase(
-            name="iso-prelude-55555555",
-            key=_ISO_PRELUDE_KEY,
-            source=None,
-            expect=ExpectPrelude(_ISO_PRELUDE),
-        )
-    )
-    for n, value in sorted(_GENERATED_MACS.items()):
-        cases.append(
-            VectorCase(
-                name="gen-%04d" % n,
-                key=_STANDARD_KEY,
-                source=Generated(n),
-                expect=ExpectMac(value),
-            )
-        )
-    cases.append(
-        VectorCase(
-            name="prefix-14-bytes",
-            key=_STANDARD_KEY,
-            source=InlineHex(bytes.fromhex("42450A0A2020204361726566756C")),
-            expect=ExpectMac(_PREFIX_14_MAC),
-        )
-    )
-    cases.append(
-        VectorCase(
-            name="gen-0008-reversed",
-            key=_STANDARD_KEY,
-            source=_blocks_source(reversed(make_message(8))),
-            expect=ExpectMac(_REVERSED_8_MAC),
-        )
-    )
+    std = _STANDARD_KEY
     gen600 = make_message(600)
-    cases.append(
+    prefix14 = InlineHex(bytes.fromhex("42450A0A2020204361726566756C"))
+    reversed8 = _blocks_source(reversed(make_message(8)))
+    swapped600 = _blocks_source(gen600[:256] + gen600[512:] + gen600[256:512])
+    iso588 = Repeated(FileRef(ISO_MESSAGE_FILENAME), 7)
+    return [
+        *(
+            VectorCase("conditioning-%d" % i, None, None, ExpectConditioning(pair, want))
+            for i, (pair, want) in enumerate(_CONDITIONING, 1)
+        ),
+        *(
+            VectorCase("iso-prelude-%08x" % key.first, key, None, ExpectPrelude(values))
+            for key, values in _ISO_PRELUDES.items()
+        ),
         VectorCase(
-            name="gen-0600-segments-swapped",
-            key=_STANDARD_KEY,
-            source=_blocks_source(gen600[:256] + gen600[512:] + gen600[256:512]),
-            expect=ExpectMac(_SWAPPED_600_MAC),
-        )
-    )
-    cases.append(
+            "iso-mac-%08x" % _ZERO_BLOCKS_MAC,
+            _ZERO_BLOCKS_KEY,
+            InlineHex(bytes(4 * 20)),
+            ExpectMac(_ZERO_BLOCKS_MAC),
+        ),
+        *(
+            VectorCase("gen-%04d" % n, std, Generated(n), ExpectMac(value))
+            for n, value in sorted(_GENERATED_MACS.items())
+        ),
+        VectorCase("prefix-14-bytes", std, prefix14, ExpectMac(_PREFIX_14_MAC)),
+        VectorCase("gen-0008-reversed", std, reversed8, ExpectMac(_REVERSED_8_MAC)),
+        VectorCase("gen-0600-segments-swapped", std, swapped600, ExpectMac(_SWAPPED_600_MAC)),
         VectorCase(
-            name="degenerate-key-gen-0003",
-            key=_DEGENERATE_KEY,
-            source=Generated(3),
-            expect=ExpectMac(_DEGENERATE_3_MAC),
-        )
-    )
-    cases.append(
-        VectorCase(
-            name="trace-gen-0003",
-            key=_STANDARD_KEY,
-            source=Generated(3),
-            expect=ExpectTrace(text=_TRACE_GEN3),
-        )
-    )
-    cases.append(
-        VectorCase(
-            name="iso8730-588-block",
-            key=_STANDARD_KEY,
-            source=Repeated(FileRef(ISO_MESSAGE_FILENAME), 7),
-            expect=ExpectMac(ISO_588_MAC),
-        )
-    )
-    return cases
+            "degenerate-key-gen-0003", _DEGENERATE_KEY, Generated(3), ExpectMac(_DEGENERATE_3_MAC)
+        ),
+        VectorCase("trace-gen-0003", std, Generated(3), ExpectTrace(text=_TRACE_GEN3)),
+        VectorCase("iso8730-588-block", std, iso588, ExpectMac(ISO_588_MAC)),
+    ]
 
 
 def _blocks_source(blocks: Iterable[int]) -> InlineHex:

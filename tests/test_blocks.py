@@ -210,6 +210,47 @@ MULS = [
 ]
 
 
+# 0, 1, 2, the word ends, and multiples of 2**31 - 1 and of the factor 3
+# of 2**32 - 1, so that products fall on 0 and 1 under both moduli.
+CLOSED_FORM_EDGE = [0, 1, 2, 3, 0x55555555, 2**31 - 1, 2**32 - 2, 2**32 - 1]
+
+
+def mul1_closed(x, y):
+    p = x * y
+    return (p - 1) % ONES + 1 if p else 0
+
+
+def mul2_closed(x, y):
+    p = x * y
+    return (p - 2) % TWOS + 2 if p > 1 else p
+
+
+class TestClosedForms:
+    """mul1 and mul2 return the fold's representative as a rule on the product.
+
+    mul1 gives 0 for a zero product and otherwise the value in [1, 2**32 - 1]
+    congruent to it; mul2 gives a product below 2 as it is and otherwise
+    the value in [2, 2**32 - 1] congruent to it.  The key expansion takes
+    its representatives from these rules.
+    """
+
+    @pytest.mark.parametrize("x", CLOSED_FORM_EDGE, ids="{:08X}".format)
+    @pytest.mark.parametrize("y", CLOSED_FORM_EDGE, ids="{:08X}".format)
+    def test_edge_pairs(self, x, y):
+        assert mul1(x, y) == mul1_closed(x, y) == model.MUL1(x, y)
+        assert mul2(x, y) == mul2_closed(x, y) == model.MUL2(x, y)
+
+    @given(near_wrap_pairs())
+    def test_products_near_a_wrap(self, pair):
+        assert mul1(*pair) == mul1_closed(*pair) == model.MUL1(*pair)
+        assert mul2(*pair) == mul2_closed(*pair) == model.MUL2(*pair)
+
+    @pytest.mark.parametrize("h", sorted({*CLOSED_FORM_EDGE, *EDGE}), ids="{:08X}".format)
+    def test_mul2_by_one_is_identity(self, h):
+        # So H5 = MUL2(H0, Q) is H0 itself for a clean key, where Q = 1.
+        assert mul2(h, 1) == model.MUL2(h, 1) == h
+
+
 class TestExactRepresentatives:
     @pytest.mark.parametrize("fast,composed", MULS)
     @pytest.mark.parametrize("x", EDGE)

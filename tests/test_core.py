@@ -74,9 +74,9 @@ def fold(pre, unit):
 # The key the algorithm's published end-to-end test data uses.
 STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
 
-# A deliberately degenerate key whose expansion is published: six of its
-# eight bytes need conditioning, so it exercises the scaling rule.
-DEGENERATE_KEY = Key(0x00000100, 0x00000080)
+# The standard's expansion test: conditioned key words J1 = 00000100 and
+# K1 = 00000080 with the pattern P = 1, so Q = (1 + P)**2 = 4.
+EXPANSION_TEST = (0x00000100, 0x00000080, 4)
 
 
 class TestPadMessage:
@@ -119,12 +119,13 @@ class TestMakeMessage:
 
 class TestPrelude:
     def test_published_expansion_of_degenerate_key(self):
-        h = prelude_intermediate(DEGENERATE_KEY)
+        h = core._expand(*EXPANSION_TEST)
         assert h == (0x00000003, 0x00000060, 0x00030000, 0x00060000, 0x00000005, 0x80000002)
 
     def test_published_working_values_of_degenerate_key(self):
-        p = prelude(DEGENERATE_KEY)
-        assert p == (0x01030703, 0x1D3B7760, 0x0103050B, 0x17065DBB, 0x01030705, 0x80397302)
+        h = core._expand(*EXPANSION_TEST)
+        p = [w for i in (0, 2, 4) for w in blocks.byt_pat(h[i], h[i + 1])[:2]]
+        assert p == [0x01030703, 0x1D3B7760, 0x0103050B, 0x17065DBB, 0x01030705, 0x80397302]
 
     @given(keys)
     def test_conditioning_identities(self, key):
@@ -138,14 +139,14 @@ class TestPrelude:
     def test_pure(self, key):
         assert prelude(key) == prelude(key)
 
-    @given(keys)
+    @given(mixed_keys)
     @settings(max_examples=200)
     def test_power_combination_structure(self, key):
-        # Rebuild the expansion from the primitives: even powers of the
+        # Rebuild the expansion from the primitives: BYT of the key gives
+        # the conditioned words and the pattern P; even powers of the
         # first word, odd powers of the second, each under both moduli,
-        # XOR-combined, with the fifth power scaled by 4 exactly when
-        # the key needed byte conditioning.
-        j, k = key
+        # XOR-combined, with the fifth power multiplied by (1 + P)**2.
+        j, k, pattern = blocks.byt_pat(*key)
         h = prelude_intermediate(key)
 
         def chain(mul, base):
@@ -157,10 +158,9 @@ class TestPrelude:
 
         c1, c2 = chain(blocks.mul1, j), chain(blocks.mul2, j)
         d1, d2 = chain(blocks.mul1, k), chain(blocks.mul2, k)
-        scale = 4 if blocks.byt_pat(j, k).pattern else 1
         assert h == (
             c1[4] ^ c2[4],
-            blocks.mul2(d1[5] ^ d2[5], scale),
+            blocks.mul2(d1[5] ^ d2[5], (1 + pattern) ** 2),
             c1[6] ^ c2[6],
             d1[7] ^ d2[7],
             c1[8] ^ c2[8],
@@ -199,17 +199,16 @@ class TestPrelude:
 
 
 def reference_expansion(j, k):
-    """The key's expansion, its working values and its E table, under the
-    engine's present key rule, rebuilt from the spec model and a cyc loop.
+    """The key's expansion, its working values and its E table, rebuilt
+    from the spec model and a cyc loop.
 
-    The model's EXPANSION walks the standard's power chain one
-    multiplication at a time, so this shares no code with the expansion a
-    cache miss runs.  The engine's rule differs from the standard's
-    PRELUDE on keys with a 00 or FF byte: it expands the raw key words,
-    not BYT's conditioned ones, and takes Q = 4 for such a key (Q = 1 for
-    a clean key, where both rules agree).
+    Along the model's PRELUDE: BYT of the key, then Q = (1 + P)**2, then
+    EXPANSION, which walks the standard's power chain one multiplication
+    at a time, so this shares no code with the expansion a cache miss
+    runs.
     """
-    h = model.EXPANSION(j, k, 4 if model.PAT(j, k) else 1)
+    j1, k1, pattern = model.BYT(j, k)
+    h = model.EXPANSION(j1, k1, (1 + pattern) ** 2)
     pre = tuple(w for i in (0, 2, 4) for w in model.BYT(h[i], h[i + 1])[:2])
     return h, pre, reference_e_table(pre[2], pre[3])
 

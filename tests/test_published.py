@@ -2,17 +2,21 @@
 
 Every value here is the standard's own answer, none an output of this
 implementation.  test_spec_model.py pins the spec model to the same
-tables.  Two published values need the standard's key conditioning,
-which the engine's key expansion does not do yet for a key with a 00 or
-FF byte: the prelude of 00FF00FF:00000000 and the MAC DB79FBDC.  The
-model alone reproduces them for now; the engine's main loop is checked
-here from that key's published prelude instead.
+tables.
 """
 
 import pytest
 
 from maa32.blocks import byt_pat, mul1, mul2, mul2a
-from maa32.core import Key, LoopState, PreludeOutput, main_loop_step, prelude, process_segment
+from maa32.core import (
+    Key,
+    LoopState,
+    PreludeOutput,
+    mac,
+    main_loop_step,
+    prelude,
+    process_segment,
+)
 
 # (x, y): the product's representative.
 MUL1_TABLE = {
@@ -97,6 +101,15 @@ def test_byt_table(pair, want):
 def test_prelude_of_a_clean_key():
     key = Key(0x55555555, 0x5A35D667)
     assert tuple(prelude(key)) == PRELUDES[key]
+
+
+def test_prelude_of_a_key_with_00_and_ff_bytes():
+    key = Key(0x00FF00FF, 0x00000000)
+    assert tuple(prelude(key)) == PRELUDES[key]
+
+
+def test_mac_of_twenty_zero_blocks():
+    assert mac(ZERO_BLOCKS_KEY, [0] * 20) == ZERO_BLOCKS_MAC
 
 
 def test_main_loop_rows():

@@ -2,9 +2,10 @@
 
 ``spec_model`` is checked against published answers only, never against
 outputs of this implementation.  It then serves as the reference for the
-whole MAC: ``mac``, ``mac_bytes`` and ``emit_trace`` must equal it on
-clean keys (no 00 or FF byte) at lengths on both sides of the segment
-boundaries, over messages of the edge blocks.
+whole MAC: ``prelude`` must equal its PRELUDE, and ``mac``, ``mac_bytes``
+and ``emit_trace`` its MAC, on clean keys (no 00 or FF byte), on keys
+with 00 and FF bytes and on pairs of corner words, at lengths on both
+sides of the segment boundaries, over messages of the edge blocks.
 """
 
 import ast
@@ -103,6 +104,12 @@ def test_multiplications_are_congruent_to_plain_remainders(x, y):
 # Model against engine.
 
 CLEAN_KEYS = [Key(0xE6A12F07, 0x9D15C437), Key(0x55555555, 0x5A35D667), Key(0x7F80817E, 0x01FE0102)]
+# Keys with 00 or FF bytes, which BYT conditions before the expansion.
+DIRTY_KEYS = [
+    MAIN_LOOP_KEY, ZERO_BLOCKS_KEY, Key(0x00000100, 0x00000080), Key(0xFF00FF00, 0x12FF3400),
+]
+# Words at the edges of both moduli and of the 00/FF byte rule.
+CORNER_WORDS = [0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
 # Block counts on both sides of one and two whole segments.
 LENGTHS = [0, 255, 256, 257, 511, 512, 513]
 EDGE_BLOCKS = [0, 1, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
@@ -111,6 +118,11 @@ _clean_words = st.lists(st.integers(1, 254), min_size=4, max_size=4).map(
     lambda raw: int.from_bytes(bytes(raw), "big")
 )
 clean_keys = st.builds(Key, _clean_words, _clean_words)
+_dirty_bytes = st.sampled_from([0x00, 0xFF]) | st.integers(0, 255)
+_dirty_words = st.lists(_dirty_bytes, min_size=4, max_size=4).map(
+    lambda raw: int.from_bytes(bytes(raw), "big")
+)
+dirty_keys = st.builds(Key, _dirty_words, _dirty_words)
 
 
 def edge_message(n, seed):
@@ -125,6 +137,7 @@ def to_bytes(blocks):
 
 def test_clean_keys_are_clean():
     assert all(model.PAT(*key) == 0 for key in CLEAN_KEYS)
+    assert all(model.PAT(*key) != 0 for key in DIRTY_KEYS)
 
 
 def assert_engine_equals_model(key, message):
@@ -139,6 +152,31 @@ class TestEngineEqualsModel:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_mac_mac_bytes_and_trace(self, key, n):
         assert_engine_equals_model(key, edge_message(n, seed=n))
+
+    @pytest.mark.parametrize("key", DIRTY_KEYS, ids="{0.first:08X}:{0.second:08X}".format)
+    @pytest.mark.parametrize("n", [0, 3, 257])
+    def test_keys_with_00_or_ff_bytes(self, key, n):
+        assert tuple(prelude(key)) == model.PRELUDE(*key)
+        assert_engine_equals_model(key, edge_message(n, seed=n))
+
+    @pytest.mark.parametrize("j", CORNER_WORDS, ids="{:08X}".format)
+    @pytest.mark.parametrize("k", CORNER_WORDS, ids="{:08X}".format)
+    def test_prelude_of_corner_word_pairs(self, j, k):
+        assert tuple(prelude(Key(j, k))) == model.PRELUDE(j, k)
+
+    def test_keys_of_degenerate_words_get_distinct_preludes(self):
+        # The raw words 0, 1 and FFFFFFFF have degenerate powers under
+        # both moduli; BYT's conditioned words and pattern set them apart.
+        keys = [Key(0, 0), Key(0xFFFFFFFF, 0xFFFFFFFF), Key(0, 1)]
+        preludes = [prelude(key) for key in keys]
+        assert len(set(preludes)) == 3
+        assert [tuple(p) for p in preludes] == [model.PRELUDE(*key) for key in keys]
+
+    @given(dirty_keys, st.lists(st.sampled_from(EDGE_BLOCKS) | u32, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_keys_with_00_or_ff_bytes(self, key, message):
+        assert tuple(prelude(key)) == model.PRELUDE(*key)
+        assert_engine_equals_model(key, message)
 
     @pytest.mark.parametrize("block", EDGE_BLOCKS, ids="{:08X}".format)
     @pytest.mark.parametrize("n", LENGTHS)
@@ -160,9 +198,8 @@ class TestEngineEqualsModel:
 class TestMainLoopOnEnginePrelude:
     """The main loop and the mode of operation alone, on keys of every kind.
 
-    The model's MAC is fed the engine's prelude, so a key with a 00 or FF
-    byte, whose expansion still differs from the standard's, checks the
-    rest of the algorithm all the same.
+    The model's MAC is fed the engine's prelude, so this checks the rest
+    of the algorithm apart from the key expansion.
     """
 
     KEYS = [MAIN_LOOP_KEY, ZERO_BLOCKS_KEY, Key(0x00000100, 0x00000080), Key(0, 0)]

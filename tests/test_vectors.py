@@ -534,15 +534,16 @@ class TestParser:
 
 class TestRunner:
     def test_prelude_expectation_pass_and_fail(self, tmp_path):
+        # The standard's published prelude of a key with 00 and FF bytes.
         good = VectorCase(
             "expansion",
-            Key(0x00000100, 0x00000080),
+            Key(0x00FF00FF, 0x00000000),
             None,
-            ExpectPrelude((0x01030703, 0x1D3B7760, 0x0103050B, 0x17065DBB, 0x01030705, 0x80397302)),
+            ExpectPrelude((0x4A645A01, 0x50DEC930, 0x5CCA3239, 0xFECCAA6E, 0x51EDE9C7, 0x24B66FB5)),
         )
         bad = VectorCase(
             "expansion-bad",
-            Key(0x00000100, 0x00000080),
+            Key(0x00FF00FF, 0x00000000),
             None,
             ExpectPrelude((0, 0, 0, 0, 0, 0)),
         )
