@@ -25,7 +25,6 @@ from .core import (
     LoopState,
     MAX_MESSAGE_BLOCKS,
     MessageTooLong,
-    PreludeIntermediate,
     PreludeOutput,
     SEGMENT_BLOCKS,
     coda,
@@ -33,9 +32,7 @@ from .core import (
     mac_bytes,
     main_loop_step,
     make_message,
-    pad_message,
     prelude,
-    prelude_intermediate,
     process_segment,
     segment,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "MAX_MESSAGE_BLOCKS",
     "MacTrace",
     "MessageTooLong",
-    "PreludeIntermediate",
     "PreludeOutput",
     "SEGMENT_BLOCKS",
     "VectorCase",
@@ -95,11 +91,9 @@ __all__ = [
     "mul1",
     "mul2",
     "mul2a",
-    "pad_message",
     "parse_vector_file",
     "parse_vector_text",
     "prelude",
-    "prelude_intermediate",
     "process_segment",
     "run_vectors",
     "segment",

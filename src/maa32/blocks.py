@@ -5,7 +5,7 @@ words:
 
 * plain bit logic: Python's own AND, OR and XOR, and a one-bit left
   rotation;
-* modulo 2**32 addition with the carry bit exposed separately;
+* modulo 2**32 addition;
 * multiplication modulo 2**32 - 1 and modulo 2**32 - 2, which the
   standard defines by folding the high half of the 64-bit product back
   into the low half (an end-around carry for 2**32 - 1, a doubled carry
@@ -68,16 +68,6 @@ class ConditioningResult(NamedTuple):
 def cyc(x: int) -> int:
     """Rotate left by one bit."""
     return ((x << 1) | (x >> 31)) & MASK
-
-
-def add(x: int, y: int) -> int:
-    """Sum modulo 2**32, discarding the carry."""
-    return (x + y) & MASK
-
-
-def car(x: int, y: int) -> int:
-    """Carry bit of the 32-bit sum: 0 or 1."""
-    return (x + y) >> 32
 
 
 def high_mul(x: int, y: int) -> int:

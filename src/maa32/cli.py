@@ -193,10 +193,9 @@ def _cmd_trace(args) -> int:
     with _input_stream(args) as stream:
         data = stream.read(core.MAX_MESSAGE_BYTES + 1)
     core._check_byte_count(len(data))
-    pre = core.prelude(args.key)
-    segments = vectors.trace_segments(pre, core._read_segments(io.BytesIO(data)))
+    lines = vectors.trace_lines(core.prelude(args.key), core._read_segments(io.BytesIO(data)))
     with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
-        out.writelines(vectors.trace_lines(segments))
+        out.writelines(lines)
     return 0
 
 

@@ -89,17 +89,6 @@ class Key(NamedTuple):
     second: int
 
 
-class PreludeIntermediate(NamedTuple):
-    """The six combined key powers, before byte conditioning."""
-
-    h4: int
-    h5: int
-    h6: int
-    h7: int
-    h8: int
-    h9: int
-
-
 class PreludeOutput(NamedTuple):
     x0: int  # multiplier accumulator seeds
     y0: int
@@ -113,11 +102,6 @@ class LoopState(NamedTuple):
     x: int
     y: int
     v: int
-
-
-def pad_message(data: bytes) -> list[int]:
-    """Pack bytes into big-endian blocks, zero-filling the last one."""
-    return list(_unpack_blocks(data))
 
 
 def _unpack_blocks(data: bytes) -> tuple[int, ...]:
@@ -149,23 +133,6 @@ def _message_segments(n_blocks: int) -> Iterator[tuple[int, ...]]:
     blocks = _message_blocks(n_blocks)
     n_segments = max(1, -(-n_blocks // SEGMENT_BLOCKS))
     return (tuple(islice(blocks, SEGMENT_BLOCKS)) for _ in range(n_segments))
-
-
-def prelude_intermediate(key: Key) -> PreludeIntermediate:
-    """Expand the key into the six combined powers H4..H9.
-
-    As ISO 8731-2 writes it: the key words are byte-conditioned first,
-    giving J1, K1 and the pattern P, and Q = (1 + P)**2.  Even powers of
-    J1 and odd powers of K1 are taken under both moduli and the two
-    representatives XORed; the fifth-power combination is then
-    multiplied by Q modulo 2**32 - 2.  A clean key (no 00 or FF byte) is
-    its own conditioned form, with Q = 1.
-    """
-    j, k = key
-    _validate_block(j)
-    _validate_block(k)
-    j, k, p = byt_pat(j, k)
-    return PreludeIntermediate(*_expand(j, k, (1 + p) ** 2))
 
 
 def _expand(j: int, k: int, q: int) -> tuple[int, int, int, int, int, int]:

@@ -227,76 +227,45 @@ class VectorReport:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    n: int  # 1-based over every absorbed block, straight through
-    m: int
-    x: int
-    y: int
-    v: int
-
-
-@dataclass(frozen=True)
-class SegmentTrace:
-    records: tuple[TraceRecord, ...]
-    z: int
-
-
-@dataclass(frozen=True)
 class MacTrace:
-    segments: tuple[SegmentTrace, ...]
+    text: str
     mac: int
 
     def render(self) -> str:
-        return b"".join(trace_lines(self.segments)).decode()
+        return self.text
 
 
 def emit_trace(key: Key, message: Iterable[int]) -> MacTrace:
     """Authenticate while recording every loop iteration.
 
     Same segmentation, checks and limits as ``mac``: the whole message is
-    checked before the first step is traced, and the result's ``mac``
-    field always equals what ``mac`` returns for the same input.
+    checked before the first step is traced.  The ``mac`` field is read
+    from the trace's own ``MAC=`` line.
     """
-    pre = prelude(key)
-    segments = tuple(trace_segments(pre, tuple(_block_segments(message))))
-    return MacTrace(segments, segments[-1].z)
+    segments = tuple(_block_segments(message))
+    text = b"".join(trace_lines(prelude(key), segments)).decode()
+    return MacTrace(text, int(text[-9:-1], 16))
 
 
-def trace_segments(
-    pre: PreludeOutput, segments: Iterable[Sequence[int]]
-) -> Iterator[SegmentTrace]:
-    """The traced twin of the chaining loop: one SegmentTrace per segment.
+def trace_lines(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> Iterator[bytes]:
+    """The chaining loop, stepped: the trace as ASCII bytes, a line at a time.
 
     Folds main_loop_step over each unit (the previous result prepended to
-    the segment, then the two trailer blocks), numbering the absorbed
-    blocks straight through.
+    the segment, then the two trailer blocks), and yields an ``N=`` line
+    per absorbed block, numbered straight through, a ``Z<i>=`` line per
+    segment, then the ``MAC=`` line: the last segment's result.  Values
+    are eight uppercase hex digits, as ``block_hex`` renders them.
     """
     n = 0
     z = None
-    for seg in segments:
+    for i, seg in enumerate(segments, 1):
         unit = seg if z is None else (z, *seg)
         state = LoopState(pre.x0, pre.y0, pre.v0)
-        records = []
         for m in (*unit, pre.s, pre.t):
             state = main_loop_step(state, pre.w, m)
             n += 1
-            records.append(TraceRecord(n, m, state.x, state.y, state.v))
+            yield b"N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (n, m, *state)
         z = state.x ^ state.y
-        yield SegmentTrace(tuple(records), z)
-
-
-def trace_lines(segments: Iterable[SegmentTrace]) -> Iterator[bytes]:
-    """The rendered trace as ASCII bytes, a ``\\n``-terminated line at a time.
-
-    An ``N=`` line per absorbed block, a ``Z<i>=`` line per segment, then
-    the ``MAC=`` line: the last segment's result.  Values are eight
-    uppercase hex digits, as ``block_hex`` renders them.
-    """
-    z = None
-    for i, seg in enumerate(segments, 1):
-        for r in seg.records:
-            yield b"N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (r.n, r.m, r.x, r.y, r.v)
-        z = seg.z
         yield b"Z%d=%08X\n" % (i, z)
     yield b"MAC=%08X\n" % z
 
@@ -453,7 +422,7 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
             golden.seek(0)
             _check_block_count(_source_length(case.source, base_dir))
             blocks = _source_blocks(case.source, base_dir)
-            lines = trace_lines(trace_segments(prelude(case.key), _block_segments(blocks)))
+            lines = trace_lines(prelude(case.key), _block_segments(blocks))
             detail = _first_divergence(lines, golden)
         return VectorResult(case.name, STATUS_FAIL if detail else STATUS_PASS, detail)
     _check_block_count(_source_length(case.source, base_dir))

@@ -16,9 +16,7 @@ from maa32.blocks import (
     FIX1_SET,
     FIX2_KEEP,
     FIX2_SET,
-    add,
     byt_pat,
-    car,
     cyc,
     fix1,
     fix2,
@@ -54,19 +52,6 @@ class TestLogicOps:
     @given(u32)
     def test_cyc_preserves_popcount(self, x):
         assert bin(cyc(x)).count("1") == bin(x).count("1")
-
-
-class TestAddCar:
-    def test_examples(self):
-        assert add(0xFFFFFFFF, 0x00000001) == 0
-        assert car(0xFFFFFFFF, 0x00000001) == 1
-        assert add(0x7FFFFFFF, 0x00000001) == 0x80000000
-        assert car(0x7FFFFFFF, 0x00000001) == 0
-
-    @given(u32, u32)
-    def test_add_car_recover_exact_sum(self, x, y):
-        assert (car(x, y) << 32) + add(x, y) == x + y
-        assert car(x, y) in (0, 1)
 
 
 class TestProductHalves:

@@ -19,9 +19,7 @@ from maa32.core import (
     mac_bytes,
     main_loop_step,
     make_message,
-    pad_message,
     prelude,
-    prelude_intermediate,
     process_segment,
     segment,
 )
@@ -63,6 +61,17 @@ def stepwise_mac(key, data):
     return z
 
 
+def unpack(data):
+    """The engine's bytes-to-blocks packing, as a list."""
+    return list(core._unpack_blocks(data))
+
+
+def expansion(key):
+    """H4..H9 as the engine forms them: BYT of the key, then Q = (1 + P)**2."""
+    j, k, pattern = blocks.byt_pat(*key)
+    return core._expand(j, k, (1 + pattern) ** 2)
+
+
 def fold(pre, unit):
     """The loop state after main_loop_step over unit from the prelude seeds."""
     state = LoopState(pre.x0, pre.y0, pre.v0)
@@ -80,25 +89,27 @@ EXPANSION_TEST = (0x00000100, 0x00000080, 4)
 
 
 class TestPadMessage:
+    """Bytes to blocks with zero fill, as core._unpack_blocks packs them."""
+
     def test_empty(self):
-        assert pad_message(b"") == []
+        assert unpack(b"") == []
 
     def test_single_byte(self):
-        assert pad_message(b"A") == [0x41000000]
+        assert unpack(b"A") == [0x41000000]
 
     def test_published_prefix(self):
         data = bytes.fromhex("42450A0A2020204361726566756C")
-        assert pad_message(data) == [0x42450A0A, 0x20202043, 0x61726566, 0x756C0000]
+        assert unpack(data) == [0x42450A0A, 0x20202043, 0x61726566, 0x756C0000]
 
     @given(st.binary(max_size=64))
     def test_block_count_and_range(self, data):
-        out = pad_message(data)
+        out = unpack(data)
         assert len(out) == (len(data) + 3) // 4
         assert all(0 <= b <= 0xFFFFFFFF for b in out)
 
     @given(st.binary(max_size=64))
     def test_padding_is_zero_fill(self, data):
-        out = pad_message(data)
+        out = unpack(data)
         rendered = b"".join(b.to_bytes(4, "big") for b in out)
         assert rendered[: len(data)] == data
         assert all(c == 0 for c in rendered[len(data) :])
@@ -129,11 +140,11 @@ class TestPrelude:
 
     @given(keys)
     def test_conditioning_identities(self, key):
-        h = prelude_intermediate(key)
+        h4, h5, h6, h7, h8, h9 = expansion(key)
         p = prelude(key)
-        assert (p.x0, p.y0) == blocks.byt_pat(h.h4, h.h5)[:2]
-        assert (p.v0, p.w) == blocks.byt_pat(h.h6, h.h7)[:2]
-        assert (p.s, p.t) == blocks.byt_pat(h.h8, h.h9)[:2]
+        assert (p.x0, p.y0) == blocks.byt_pat(h4, h5)[:2]
+        assert (p.v0, p.w) == blocks.byt_pat(h6, h7)[:2]
+        assert (p.s, p.t) == blocks.byt_pat(h8, h9)[:2]
 
     @given(keys)
     def test_pure(self, key):
@@ -147,7 +158,7 @@ class TestPrelude:
         # first word, odd powers of the second, each under both moduli,
         # XOR-combined, with the fifth power multiplied by (1 + P)**2.
         j, k, pattern = blocks.byt_pat(*key)
-        h = prelude_intermediate(key)
+        h = core._expand(j, k, (1 + pattern) ** 2)
 
         def chain(mul, base):
             p2 = mul(base, base)
@@ -174,7 +185,7 @@ class TestPrelude:
         k5_1 = blocks.mul1(blocks.mul1(k2_1, k2_1), k)
         k2_2 = blocks.mul2(k, k)
         k5_2 = blocks.mul2(blocks.mul2(k2_2, k2_2), k)
-        assert prelude_intermediate(STANDARD_KEY).h5 == k5_1 ^ k5_2
+        assert expansion(STANDARD_KEY)[1] == k5_1 ^ k5_2
 
     def test_rejects_out_of_range_key(self):
         with pytest.raises(ValueError):
@@ -240,7 +251,7 @@ class TestKeyExpansionMiss:
     @staticmethod
     def check(j, k):
         h, pre, table = reference_expansion(j, k)
-        assert prelude_intermediate(Key(j, k)) == h
+        assert expansion(Key(j, k)) == h
         assert core._cached_prelude.__wrapped__(j, k) == pre
         assert core._e_table.__wrapped__(pre[2], pre[3]) == table
         # Raw words as V0 and W too, which conditioning never leaves.
@@ -378,7 +389,7 @@ class TestKeyCaches:
         assert core._e_table.cache_info().currsize == core.PRELUDE_CACHE_SIZE
         misses = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
         assert mac_bytes(keys[0], data) == stepwise_mac(keys[0], data)
-        assert mac(keys[0], pad_message(data)) == stepwise_mac(keys[0], data)
+        assert mac(keys[0], unpack(data)) == stepwise_mac(keys[0], data)
         after = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
         assert after == (misses[0] + 1, misses[1] + 1)
 
@@ -530,7 +541,7 @@ class TestSegmentPaths:
     @settings(max_examples=150, deadline=None)
     def test_all_paths_equal_stepwise_fold(self, key, data):
         want = stepwise_mac(key, data)
-        blocks_in = pad_message(data)
+        blocks_in = unpack(data)
         assert mac_bytes(key, data) == want
         assert mac_bytes(key, bytearray(data)) == want
         assert mac(key, blocks_in) == want
@@ -541,6 +552,6 @@ class TestSegmentPaths:
         data = bytes(range(256)) * 17
         data = data[:n]
         padded = data + bytes(-n % 4)
-        assert pad_message(data) == [
+        assert unpack(data) == [
             int.from_bytes(padded[i : i + 4], "big") for i in range(0, len(padded), 4)
         ]

@@ -78,6 +78,19 @@ class TestPublishedValues:
 # A once-over of the model's arithmetic against plain integers.
 
 
+def test_add_car_examples():
+    assert model.ADD(0xFFFFFFFF, 0x00000001) == 0
+    assert model.CAR(0xFFFFFFFF, 0x00000001) == 1
+    assert model.ADD(0x7FFFFFFF, 0x00000001) == 0x80000000
+    assert model.CAR(0x7FFFFFFF, 0x00000001) == 0
+
+
+@given(u32, u32)
+def test_add_car_recover_exact_sum(x, y):
+    assert (model.CAR(x, y) << 32) + model.ADD(x, y) == x + y
+    assert model.CAR(x, y) in (0, 1)
+
+
 def test_product_halves_examples():
     for x, y, halves in [
         (0, 0, (0, 0)),

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maa32
 from maa32 import core, vectors
-from maa32.core import Key, mac, make_message, pad_message
+from maa32.core import Key, mac, make_message
 from maa32.vectors import (
     ExpectMac,
     ExpectPrelude,
@@ -108,11 +109,11 @@ source_trees = st.builds(
 def materialise(source, base_dir):
     """The whole message of a source, as lists: padded bytes, generated blocks, list * count."""
     if isinstance(source, InlineHex):
-        return pad_message(source.data)
+        return list(core._unpack_blocks(source.data))
     if isinstance(source, Generated):
         return make_message(source.n_blocks)
     if isinstance(source, FileRef):
-        return pad_message((Path(base_dir) / source.path).read_bytes())
+        return list(core._unpack_blocks((Path(base_dir) / source.path).read_bytes()))
     return materialise(source.inner, base_dir) * source.count
 
 
@@ -280,20 +281,31 @@ class TestTrace:
         msg = make_message(600)
         trace = emit_trace(STANDARD_KEY, msg)
         assert trace.mac == mac(STANDARD_KEY, msg)
-        assert len(trace.segments) == 3
-        rows = [r for seg in trace.segments for r in seg.records]
+        fields = [dict(f.split("=") for f in line.split()) for line in trace.render().splitlines()]
+        rows = [f for f in fields if "N" in f]
+        results = [f for f in fields if "N" not in f]
         # 600 message blocks + 2 chaining blocks + 3 * 2 trailer blocks
         assert len(rows) == 608
-        assert [r.n for r in rows] == list(range(1, 609))
+        assert [int(r["N"]) for r in rows] == list(range(1, 609))
+        assert [name for r in results for name in r] == ["Z1", "Z2", "Z3", "MAC"]
         # chaining rows carry the previous segment's result
-        assert rows[258].m == trace.segments[0].z
-        assert trace.segments[-1].z == trace.mac
+        assert rows[258]["M"] == results[0]["Z1"]
+        assert results[2]["Z3"] == results[3]["MAC"] == "%08X" % trace.mac
 
     def test_empty_message_trace(self):
         trace = emit_trace(STANDARD_KEY, [])
-        assert len(trace.segments) == 1
-        assert len(trace.segments[0].records) == 2  # the two trailer blocks
+        lines = trace.render().splitlines()
+        # the two trailer blocks, then the one segment's result and the MAC
+        assert [line.split("=")[0] for line in lines] == ["N", "N", "Z1", "MAC"]
+        assert lines[2][3:] == lines[3][4:] == "%08X" % trace.mac
         assert trace.mac == mac(STANDARD_KEY, [])
+
+    def test_mac_comes_from_the_fold_not_the_kernel(self, monkeypatch):
+        # test_spec_model sets emit_trace's MAC against the model, so that
+        # MAC must come from main_loop_step, not from process_segment.
+        want = mac(STANDARD_KEY, make_message(300))
+        monkeypatch.setattr(core, "process_segment", None)
+        assert emit_trace(STANDARD_KEY, make_message(300)).mac == want
 
     def test_deterministic_rendering(self):
         a = emit_trace(STANDARD_KEY, make_message(10)).render()
@@ -655,3 +667,13 @@ class TestRunner:
         report = run_vectors(builtin_corpus(), base_dir=str(tmp_path))
         assert report.passed + report.failed + report.skipped == len(report.results)
         assert report.ok
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in maa32.__all__ if not hasattr(maa32, name)] == []
+
+    def test_lazy_names_are_exported_and_come_from_vectors(self):
+        assert maa32._VECTOR_NAMES <= set(maa32.__all__)
+        for name in maa32._VECTOR_NAMES:
+            assert getattr(maa32, name) is getattr(vectors, name)
