@@ -25,6 +25,7 @@ it, so that ``mac`` and ``verify`` start without building it.
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import os
 import stat
@@ -120,16 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _hex_bytes(path: str) -> bytes:
     """The bytes of hex text, whitespace ignored, counted as they are decoded.
 
-    Each 64 KiB read is decoded at once; an odd trailing digit is carried
-    into the next read.  The bytes decoded before a non-hex character
-    count toward the length cap, so that text over the cap is refused as
-    too long even when it goes on with something other than hex.
+    The text is UTF-8 in any locale.  Each 64 KiB read is decoded at once;
+    an odd trailing digit is carried into the next read.  The bytes decoded
+    before a non-hex character count toward the length cap, so text over
+    the cap is refused as too long even when non-hex text follows.
     """
     parts = []
     n_bytes = 0
     carry = ""
-    with nullcontext(sys.stdin) if path == "-" else open(path, "r") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), ""):
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        for chunk in codecs.iterdecode(iter(lambda: fh.read(1 << 16), b""), "utf-8"):
             digits = carry + "".join(chunk.split())
             even = len(digits) & ~1
             carry = digits[even:]

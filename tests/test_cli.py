@@ -252,6 +252,33 @@ class TestStreamReader:
         assert proc.stderr == b""
 
 
+class TestHexEncoding:
+    """--hex text is UTF-8 in any locale, from a file and from standard input."""
+
+    # A UTF-8 locale, and the C locale with neither locale coercion nor
+    # UTF-8 mode, where the locale's encoding is ASCII.
+    LOCALES = {
+        "utf-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "0"},
+        "c": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+
+    @pytest.mark.parametrize("locale", sorted(LOCALES))
+    def test_no_break_space_is_whitespace(self, tmp_path, locale):
+        # Hex digits split by U+00A0, which is two bytes in UTF-8.  Standard
+        # input is given a Latin-1 text encoding, which reads those bytes
+        # as two characters that are neither hex nor whitespace.
+        path = tmp_path / "m.hex"
+        path.write_bytes(b"4245\xc2\xa00a0a")
+        env = {**os.environ, **self.LOCALES[locale], "PYTHONIOENCODING": "latin-1"}
+        argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        argv += ["-m", "maa32", "mac", "--hex", "--key", KEY]
+        for source, stdin in (str(path), b""), ("-", path.read_bytes()):
+            proc = subprocess.run(
+                argv + [source], input=stdin, env=env, capture_output=True, timeout=120
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"92B79E27\n", b"")
+
+
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path):
         data = blocks_to_bytes(make_message(300))

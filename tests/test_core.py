@@ -1,5 +1,6 @@
 """Key expansion, the block loop, segmentation, and the MAC itself."""
 
+import io
 import random
 
 import pytest
@@ -26,6 +27,16 @@ from maa32.core import (
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 keys = st.builds(Key, u32, u32)
+
+
+def block_lists(max_size):
+    """Lists of blocks with a length drawn evenly from 0 to max_size.
+
+    A plain list strategy rarely draws past a few dozen elements, so it
+    would seldom reach a second segment or wrap the E table's period.
+    """
+    return st.integers(0, max_size).flatmap(lambda n: st.lists(u32, min_size=n, max_size=n))
+
 
 # Keys with a 00 or FF byte take the conditioned prelude; clean keys do not.
 _key_bytes = st.sampled_from([0x00, 0xFF]) | st.integers(1, 254)
@@ -203,6 +214,14 @@ class TestPrelude:
         with pytest.raises(ValueError):
             mac_bytes(bad, b"abcd")
 
+    @pytest.mark.parametrize("bad", [Key([1], 2), Key(1, {2})])
+    def test_rejects_unhashable_key_words(self, bad):
+        # The cache cannot look such a word up; it is refused all the same.
+        with pytest.raises(ValueError):
+            prelude(bad)
+        with pytest.raises(ValueError):
+            mac_bytes(bad, b"abcd")
+
     @given(mixed_keys)
     def test_cached_result_equals_a_fresh_expansion(self, key):
         prelude(key)
@@ -302,7 +321,9 @@ class TestMainLoop:
 
 
 class TestProcessSegment:
-    @given(keys, st.lists(u32, max_size=30))
+    # Up to a full chained unit, so the kernel's walk over the E table
+    # wraps its 32-entry period (the coda takes two entries more).
+    @given(keys, block_lists(257))
     @settings(max_examples=200)
     def test_equals_stepwise_fold(self, key, message_blocks):
         pre = prelude(key)
@@ -310,6 +331,14 @@ class TestProcessSegment:
         for m in message_blocks:
             state = main_loop_step(state, pre.w, m)
         assert process_segment(pre, message_blocks) == coda(state, pre.w, pre.s, pre.t)
+
+    @pytest.mark.parametrize("key", [STANDARD_KEY, Key(0x80018001, 0x80018000)])
+    @pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 256, 257])
+    def test_equals_stepwise_fold_around_the_e_period(self, key, n):
+        pre = prelude(key)
+        rng = random.Random(n)
+        unit = [rng.getrandbits(32) for _ in range(n)]
+        assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
 
     @given(keys)
     def test_empty_segment_is_coda_of_seeds(self, key):
@@ -411,7 +440,7 @@ class TestSegment:
         assert [len(s) for s in segment(make_message(256))] == [256]
         assert [len(s) for s in segment(make_message(257))] == [256, 1]
 
-    @given(st.lists(u32, max_size=700))
+    @given(block_lists(700))
     def test_partition(self, message_blocks):
         segs = segment(message_blocks)
         joined = [b for s in segs for b in s]
@@ -424,6 +453,19 @@ class TestSegment:
     def test_generator_segments_are_segment_of_make_message(self, n):
         segs = list(core._message_segments(n))
         assert segs == [tuple(s) for s in segment(make_message(n))]
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 600])
+    def test_every_segment_source_cuts_the_same_way(self, n):
+        # Full segments, then the rest if any; no blocks is one empty segment.
+        lengths = [256] * (n // 256) + ([n % 256] if n % 256 or not n else [])
+        message = make_message(n)
+        want = [tuple(s) for s in segment(message)]
+        assert [len(s) for s in want] == lengths
+        assert list(core._message_segments(n)) == want
+        assert list(core._block_segments(message)) == want
+        assert list(core._block_segments(iter(message))) == want
+        data = b"".join(m.to_bytes(4, "big") for m in message)
+        assert list(core._read_segments(io.BytesIO(data))) == want
 
     def test_generator_segments_check_the_count_at_the_call(self):
         with pytest.raises(ValueError):
