@@ -37,25 +37,11 @@ from .core import (
     segment,
 )
 
-# The vector corpus and its tools load on first use (PEP 562), so that
-# importing the package for mac or mac_bytes does not build the corpus.
-_VECTOR_NAMES = frozenset(
-    {
-        "MacTrace",
-        "VectorCase",
-        "VectorFormatError",
-        "VectorReport",
-        "builtin_corpus",
-        "emit_trace",
-        "parse_vector_file",
-        "parse_vector_text",
-        "run_vectors",
-    }
-)
 
-
+# The other names in __all__ come from vectors, loaded on first use (PEP 562),
+# so that importing the package for mac or mac_bytes does not build the corpus.
 def __getattr__(name: str):
-    if name in _VECTOR_NAMES:
+    if name in __all__:
         from . import vectors
 
         return getattr(vectors, name)

@@ -414,11 +414,12 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
     if isinstance(expect, ExpectTrace):
         # Before sizing: a missing golden SKIPs, a non-ASCII one is an error wherever it diverges.
         with _golden(expect, base_dir) as golden:
-            for chunk in iter(lambda: golden.read(1 << 16), b""):
+            for n, line in enumerate(golden, 1):
                 try:
-                    chunk.decode("ascii")
+                    line.decode("ascii")
                 except UnicodeDecodeError as err:
-                    raise ValueError("cannot read %s: %s" % (golden.name, err)) from None
+                    message = "cannot read %s: %s, line %d" % (golden.name, err, n)
+                    raise ValueError(message) from None
             golden.seek(0)
             _check_block_count(_source_length(case.source, base_dir))
             blocks = _source_blocks(case.source, base_dir)

@@ -100,6 +100,24 @@ def test_mac_commands_do_not_import_the_vector_corpus():
     assert proc.stdout == b"False\n"
 
 
+def test_cli_module_runs_main_as_a_script():
+    # The second entry point: python -m maa32.cli runs main under its __main__ guard.
+    argv = [sys.executable, "-m", "maa32.cli"]
+    want = mac_bytes(KEY_OBJ, b"abcdefgh")
+    proc = subprocess.run(
+        argv + ["mac", "--key", KEY], input=b"abcdefgh", capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"%08X\n" % want, b"")
+    proc = subprocess.run(
+        argv + ["verify", "--key", KEY, "--mac", "%08X" % (want ^ 1)],
+        input=b"abcdefgh",
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(b"mismatch: computed=%08X" % want)
+
+
 def test_package_ships_only_runtime_modules():
     # Test references live under tests/, not in the package.
     names = {m.name for m in pkgutil.iter_modules(maa32.__path__)}
@@ -220,8 +238,9 @@ class TestStreamReader:
         digits = data.hex()
         spaced = "\t".join(digits[i : i + 3] for i in range(0, len(digits), 3))
         path = tmp_path / "m.hex"
-        path.write_text(spaced.replace("\t", "\n", 999))
-        assert cli._hex_bytes(str(path)) == data
+        path.write_text(spaced.replace("\t", "\n", 999), encoding="utf-8")
+        with path.open("rb") as fh:
+            assert cli._hex_bytes(fh) == data
         assert run_main("mac", "--key", KEY, "--hex", "-", stdin=spaced.encode()) == (
             0, b"%08X\n" % mac_bytes(KEY_OBJ, data), ""
         )
@@ -229,18 +248,36 @@ class TestStreamReader:
     def test_hex_at_the_cap_is_accepted_one_byte_over_exits_3(self, tmp_path):
         data = bytes(range(256)) * (MAX_MESSAGE_BYTES // 256) + bytes(MAX_MESSAGE_BYTES % 256)
         path = tmp_path / "at-cap.hex"
-        path.write_text(data.hex())
+        path.write_text(data.hex(), encoding="utf-8")
         code, out, err = run_main("mac", "--key", KEY, "--hex", str(path))
         assert (code, out, err) == (0, b"%08X\n" % mac_bytes(KEY_OBJ, data), "")
-        with path.open("a") as fh:
+        with path.open("a", encoding="utf-8") as fh:
             fh.write("00 and then no hex at all")
         code, out, err = run_main("mac", "--key", KEY, "--hex", str(path))
         assert (code, out) == (3, b"")
         assert err.endswith("; limit is %d\n" % MAX_MESSAGE_BYTES)
 
+    @pytest.mark.parametrize(
+        "text,at,reason",
+        [
+            (b"00" * 35000 + b"\xe9\n", 70000, "invalid continuation byte"),
+            # U+00A0 split by the first 64 KiB read, then a bad byte.
+            (b"0" * 65535 + b"\xc2\xa0\xe9\n", 65537, "invalid continuation byte"),
+            (b"00" * 35000 + b"\xc2", 70000, "unexpected end of data"),
+        ],
+        ids=["second-read", "after-a-split-character", "at-the-end"],
+    )
+    def test_hex_byte_that_is_not_utf8_is_named_by_its_offset(self, tmp_path, text, at, reason):
+        path = tmp_path / "h.hex"
+        path.write_bytes(text)
+        for source, stdin, name in (str(path), b"", str(path)), ("-", text, "<stdin>"):
+            code, out, err = run_main("mac", "--key", KEY, "--hex", source, stdin=stdin)
+            assert (code, out) == (2, b"")
+            assert err == "cannot read %s: byte %d is not UTF-8: %s\n" % (name, at, reason)
+
     def test_hex_file_is_closed(self, tmp_path):
         path = tmp_path / "m.hex"
-        path.write_text("4245 0A0A\n")
+        path.write_text("4245 0A0A\n", encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-W", "error::ResourceWarning", "-m", "maa32"]
             + ["mac", "--key", KEY, "--hex", str(path)],
@@ -312,7 +349,7 @@ class TestTraceCommand:
         out = tmp_path / "t.trace"
         to_file = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
         assert to_file.returncode == 0
-        assert out.read_text() == want
+        assert out.read_text(encoding="utf-8") == want
 
     @pytest.mark.parametrize("key", [KEY, "80018001:80018000"])
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 600])
@@ -327,7 +364,7 @@ class TestTraceCommand:
         out = tmp_path / "t.trace"
         to_file = run_cli("trace", "--key", key, "-o", str(out), stdin=data)
         assert to_file.returncode == 0, to_file.stderr
-        assert out.read_text() == want
+        assert out.read_text(encoding="utf-8") == want
 
     @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
     def test_output_is_the_rendering_in_ascii_bytes(self, tmp_path, n):
@@ -353,10 +390,10 @@ class TestTraceCommand:
         to_file = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
         assert to_file.returncode == 3, to_file.stderr
         assert not out.exists()
-        out.write_text("kept\n")
+        out.write_text("kept\n", encoding="utf-8")
         again = run_cli("trace", "--key", KEY, "-o", str(out), stdin=data)
         assert again.returncode == 3, again.stderr
-        assert out.read_text() == "kept\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestSelftestCommand:
@@ -379,7 +416,8 @@ class TestSelftestCommand:
         golden = "%08X" % mac_bytes(KEY_OBJ, bytes.fromhex("42450A0A"))
         (tmp_path / "good.mvt").write_text(
             "CASE local\nKEY %s %s\nMSGHEX 42450A0A\nEXPECT-MAC %s\n"
-            % (KEY[:8], KEY[9:], golden)
+            % (KEY[:8], KEY[9:], golden),
+            encoding="utf-8",
         )
         proc = run_cli("selftest", "--vectors", str(tmp_path / "good.mvt"), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -388,7 +426,8 @@ class TestSelftestCommand:
     def test_corrupted_vector_file_exits_4(self, tmp_path):
         (tmp_path / "bad.mvt").write_text(
             "CASE corrupt\nKEY %s %s\nMSGHEX 42450A0A\nEXPECT-MAC 00000000\n"
-            % (KEY[:8], KEY[9:])
+            % (KEY[:8], KEY[9:]),
+            encoding="utf-8",
         )
         proc = run_cli("selftest", "--vectors", str(tmp_path / "bad.mvt"), cwd=tmp_path)
         assert proc.returncode == 4, proc.stderr
@@ -397,14 +436,14 @@ class TestSelftestCommand:
         assert "computed=" in out and "expected=00000000" in out
 
     def test_malformed_vector_file_exits_2_with_line(self, tmp_path):
-        (tmp_path / "junk.mvt").write_text("KEY 1 2\n")
+        (tmp_path / "junk.mvt").write_text("KEY 1 2\n", encoding="utf-8")
         proc = run_cli("selftest", "--vectors", str(tmp_path / "junk.mvt"), cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "line 1" in proc.stderr.decode()
 
     def test_malformed_vector_file_is_named_once(self, tmp_path):
         path = tmp_path / "junk.mvt"
-        path.write_text("KEY 1 2\n")
+        path.write_text("KEY 1 2\n", encoding="utf-8")
         proc = run_cli("selftest", "--vectors", str(path), cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.decode() == (
@@ -441,23 +480,37 @@ class TestSelftestCommand:
         assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte 0xe9" % bad)
 
     @pytest.mark.parametrize(
-        "n_blocks,text",
+        "n_blocks,text,where",
         [
-            (1, b"N=1 caf\xe9\n"),
-            (1, b"N=1 diverges here\n" + b"#" * 99999 + b"\ncaf\xe9\n"),
-            (4000000, b"N=1 caf\xe9\n"),
+            (1, b"N=1 caf\xe9\n", "position 7: ordinal not in range(128), line 1"),
+            (
+                1,
+                b"N=1 diverges here\n" + b"#" * 99999 + b"\ncaf\xe9\n",
+                "position 3: ordinal not in range(128), line 3",
+            ),
+            (4000000, b"N=1 caf\xe9\n", "position 7: ordinal not in range(128), line 1"),
+            # The byte at offset 70,000, past the first 64 KiB.
+            (
+                1,
+                b"N=1 x\n" + b"#" * 69994 + b"\xe9\n",
+                "position 69994: ordinal not in range(128), line 2",
+            ),
         ],
-        ids=["first-line", "after-divergence", "over-cap"],
+        ids=["first-line", "after-divergence", "over-cap", "second-read"],
     )
-    def test_golden_trace_that_is_not_ascii_is_named(self, tmp_path, n_blocks, text):
+    def test_golden_trace_that_is_not_ascii_is_named(self, tmp_path, n_blocks, text, where):
         golden = tmp_path / "latin1.trace"
         golden.write_bytes(text)
         (tmp_path / "t.mvt").write_text(
-            "KEY %s %s\nMSGGEN %d\nEXPECT-TRACE latin1.trace\n" % (KEY[:8], KEY[9:], n_blocks)
+            "KEY %s %s\nMSGGEN %d\nEXPECT-TRACE latin1.trace\n" % (KEY[:8], KEY[9:], n_blocks),
+            encoding="utf-8",
         )
         code, out, err = run_main("selftest", "--vectors", str(tmp_path / "t.mvt"))
         assert (code, out) == (2, b"")
-        assert err.startswith("cannot read %s: 'ascii' codec can't decode byte 0xe9" % golden)
+        assert err == "cannot read %s: 'ascii' codec can't decode byte 0xe9 in %s\n" % (
+            golden,
+            where,
+        )
 
     @pytest.mark.parametrize(
         "path,base_dir", [("/x.mvt", "/"), ("x.mvt", "."), ("a/b.mvt", "a")]
@@ -486,7 +539,8 @@ class TestSelftestCommand:
         golden = "%08X" % mac_bytes(KEY_OBJ, payload)
         (sub / "file.mvt").write_text(
             "CASE file-case\nKEY %s %s\nMSGFILE msg.bin\nEXPECT-MAC %s\n"
-            % (KEY[:8], KEY[9:], golden)
+            % (KEY[:8], KEY[9:], golden),
+            encoding="utf-8",
         )
         proc = run_cli("selftest", "--vectors", str(sub / "file.mvt"), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -529,7 +583,8 @@ class TestBoundedMemory:
                 fh.write(bytes(range(256)) * 4096)  # 40 MiB in all
         path = tmp_path / "big.mvt"
         path.write_text(
-            "CASE big\nKEY %s %s\n%s\nEXPECT-MAC 00000000\n" % (KEY[:8], KEY[9:], source)
+            "CASE big\nKEY %s %s\n%s\nEXPECT-MAC 00000000\n" % (KEY[:8], KEY[9:], source),
+            encoding="utf-8",
         )
         code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
         assert (code, err) == (4, "")
@@ -539,10 +594,11 @@ class TestBoundedMemory:
 
     def test_over_cap_trace_case_fails_at_the_cap(self, tmp_path):
         # Checking the whole message before tracing it peaked at 53.7 MiB.
-        (tmp_path / "big.trace").write_text("MAC=00000000\n")
+        (tmp_path / "big.trace").write_text("MAC=00000000\n", encoding="utf-8")
         path = tmp_path / "big.mvt"
         path.write_text(
-            "CASE big\nKEY %s %s\nMSGGEN 4000000\nEXPECT-TRACE big.trace\n" % (KEY[:8], KEY[9:])
+            "CASE big\nKEY %s %s\nMSGGEN 4000000\nEXPECT-TRACE big.trace\n" % (KEY[:8], KEY[9:]),
+            encoding="utf-8",
         )
         code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
         assert (code, err) == (4, "")
@@ -558,7 +614,8 @@ class TestBoundedMemory:
         assert proc.returncode == 0, proc.stderr
         path = tmp_path / "m.mvt"
         path.write_text(
-            "CASE big\nKEY %s %s\nMSGGEN 100000\nEXPECT-TRACE m.trace\n" % (KEY[:8], KEY[9:])
+            "CASE big\nKEY %s %s\nMSGGEN 100000\nEXPECT-TRACE m.trace\n" % (KEY[:8], KEY[9:]),
+            encoding="utf-8",
         )
         code, out, err, rss_mib = run_probed("selftest", "--vectors", str(path))
         assert (code, err) == (0, "")
@@ -575,7 +632,7 @@ class TestBoundedMemory:
     def test_hex_over_the_cap_exits_3(self, tmp_path):
         # Reading the whole text first peaked at 178 MB.
         path = tmp_path / "big.hex"
-        path.write_text(("ab" * 32 + "\n") * (40 * 2**20 // 65))
+        path.write_text(("ab" * 32 + "\n") * (40 * 2**20 // 65), encoding="utf-8")
         code, out, err, rss_mib = run_probed("mac", "--key", KEY, "--hex", str(path))
         assert (code, out) == (3, "")
         assert err.endswith("; limit is 3999996\n")

@@ -450,11 +450,6 @@ class TestSegment:
             assert len(s) == 256
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 600])
-    def test_generator_segments_are_segment_of_make_message(self, n):
-        segs = list(core._message_segments(n))
-        assert segs == [tuple(s) for s in segment(make_message(n))]
-
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 600])
     def test_every_segment_source_cuts_the_same_way(self, n):
         # Full segments, then the rest if any; no blocks is one empty segment.
         lengths = [256] * (n // 256) + ([n % 256] if n % 256 or not n else [])

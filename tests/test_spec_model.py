@@ -39,7 +39,7 @@ u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 def test_model_imports_nothing():
-    tree = ast.parse(Path(model.__file__).read_text())
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
