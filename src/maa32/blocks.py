@@ -45,17 +45,6 @@ if FIX1_SET & FIX1_KEEP != FIX1_SET or FIX2_SET & FIX2_KEEP != FIX2_SET:
     raise AssertionError("fix mask constants are inconsistent")
 
 
-def _byte_masks(n_bytes: int) -> tuple[int, int, int]:
-    """Every byte of an n-byte word set to 01, to 80 and to FF."""
-    ones = int.from_bytes(b"\x01" * n_bytes, "big")
-    return ones, ones << 7, ones * 0xFF
-
-
-# _has_00_or_ff's masks for a block pair, and for the three pairs of
-# combined key powers packed into one 24-byte word.
-_PAIR_BYTES = _byte_masks(8)
-_SIX_BLOCK_BYTES = _byte_masks(24)
-
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -150,16 +139,10 @@ def byt_pat(a: int, b: int) -> ConditioningResult:
     return ConditioningResult(x >> 32, x & MASK, p)
 
 
-def _has_00_or_ff(x: int, masks: tuple[int, int, int] = _PAIR_BYTES) -> bool:
-    """True when some byte of x is 00 or FF; masks, from _byte_masks, set x's width.
-
-    x has a 00 byte exactly when (x - 0101..01) & ~x & 8080..80 is nonzero,
-    and an FF byte exactly when ~x has a 00 byte.  A borrow can flag a
-    byte above a 00 byte as well, but only where some byte really is 00.
-    """
-    ones, highs, all_ff = masks
-    inverse = x ^ all_ff
-    return ((x - ones) & inverse | (inverse - ones) & x) & highs != 0
+def _has_00_or_ff(x: int, n_bytes: int = 8) -> bool:
+    """True when some byte of the n_bytes-byte word x is 00 or FF."""
+    raw = x.to_bytes(n_bytes, "big")
+    return 0 in raw or 0xFF in raw
 
 
 def block_hex(x: int) -> str:

@@ -139,6 +139,8 @@ def _hex_bytes(fh: BinaryIO) -> bytes:
             at = n_read - len(err.object) + err.start
             name = getattr(fh, "name", "<stdin>")
             raise ValueError("cannot read %s: byte %d is not UTF-8: %s" % (name, at, err.reason))
+        if not parts:  # the first read: a leading byte order mark is dropped
+            chunk = chunk.removeprefix("\ufeff")
         digits = carry + "".join(chunk.split())
         even = len(digits) & ~1
         carry = digits[even:]

@@ -53,7 +53,6 @@ from .blocks import (
     FIX2_KEEP,
     FIX2_SET,
     MASK,
-    _SIX_BLOCK_BYTES,
     _has_00_or_ff,
     byt_pat,
     cyc,
@@ -184,7 +183,7 @@ def _cached_prelude(j: int, k: int) -> PreludeOutput:
     h4, h5, h6, h7, h8, h9 = _expand(j, k, (1 + p) ** 2)
     # All 24 bytes are tested at once; byt_pat leaves a clean pair as it is.
     six = h4 << 160 | h5 << 128 | h6 << 96 | h7 << 64 | h8 << 32 | h9
-    if _has_00_or_ff(six, _SIX_BLOCK_BYTES):
+    if _has_00_or_ff(six, 24):
         h4, h5, _ = byt_pat(h4, h5)
         h6, h7, _ = byt_pat(h6, h7)
         h8, h9, _ = byt_pat(h8, h9)

@@ -266,11 +266,12 @@ class TestExactRepresentatives:
         assert byt_pat(a, b) == model.BYT(a, b)
 
 
-# Byte values on both sides of the two the 00/FF test looks for, and of
-# its 80 flag bit.
-SWAR_BYTES = [0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF]
+# The two byte values the 00/FF test looks for, their neighbours 01 and
+# FE, and the 7F/80 pair in the middle of the byte range.
+CORNER_BYTES = [0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF]
 CLEAN_FILLS = [0x01, 0x7F, 0x80, 0xFE]
-SWAR_WIDTHS = [(8, blocks._PAIR_BYTES), (24, blocks._SIX_BLOCK_BYTES)]
+# A block pair, and the three pairs of combined key powers as one word.
+WIDTHS = [8, 24]
 
 
 def scanned_has_00_or_ff(x, n_bytes):
@@ -280,42 +281,41 @@ def scanned_has_00_or_ff(x, n_bytes):
 class TestHas00OrFF:
     """The one 00/FF byte test, for a block pair and for six blocks at once."""
 
-    @pytest.mark.parametrize("n_bytes,masks", SWAR_WIDTHS)
-    def test_every_value_and_neighbour_at_every_position(self, n_bytes, masks):
+    @pytest.mark.parametrize("n_bytes", WIDTHS)
+    def test_every_value_and_neighbour_at_every_position(self, n_bytes):
         # One or two adjacent bytes set, in a word of one clean byte value.
         for fill in CLEAN_FILLS:
             for i in range(n_bytes):
-                for hi in SWAR_BYTES:
-                    for lo in [None, *SWAR_BYTES] if i + 1 < n_bytes else [None]:
+                for hi in CORNER_BYTES:
+                    for lo in [None, *CORNER_BYTES] if i + 1 < n_bytes else [None]:
                         raw = bytearray([fill] * n_bytes)
                         raw[i] = hi
                         if lo is not None:
                             raw[i + 1] = lo
                         x = int.from_bytes(raw, "big")
-                        assert blocks._has_00_or_ff(x, masks) == scanned_has_00_or_ff(x, n_bytes)
+                        assert blocks._has_00_or_ff(x, n_bytes) == scanned_has_00_or_ff(x, n_bytes)
 
-    @pytest.mark.parametrize("n_bytes,masks", SWAR_WIDTHS)
-    def test_borrow_corners(self, n_bytes, masks):
-        # A 00 byte borrows from the 01 above it, and an FF byte (00 in
-        # the complement) from an FE above it: the flag may then land on
-        # the wrong byte, but the answer must still be yes, and a word
-        # with only 01 and FE bytes must still be no.
+    @pytest.mark.parametrize("n_bytes", WIDTHS)
+    def test_adjacent_01_00_and_fe_ff_bytes(self, n_bytes):
+        # A 00 byte under a 01 and an FF byte under an FE, at every
+        # position in a word of 01 bytes, are found; a word of only 01
+        # and FE bytes, in runs or alternating, is clean.
         for pair in (b"\x01\x00", b"\xfe\xff"):
             for i in range(n_bytes - 1):
                 raw = bytearray(b"\x01" * n_bytes)
                 raw[i : i + 2] = pair
-                assert blocks._has_00_or_ff(int.from_bytes(raw, "big"), masks)
+                assert blocks._has_00_or_ff(int.from_bytes(raw, "big"), n_bytes)
         for raw in (b"\x01" * n_bytes, b"\xfe" * n_bytes, b"\x01\xfe" * (n_bytes // 2)):
-            assert not blocks._has_00_or_ff(int.from_bytes(raw, "big"), masks)
+            assert not blocks._has_00_or_ff(int.from_bytes(raw, "big"), n_bytes)
 
-    @pytest.mark.parametrize("n_bytes,masks", SWAR_WIDTHS)
+    @pytest.mark.parametrize("n_bytes", WIDTHS)
     @given(data=st.data())
     @settings(max_examples=200)
-    def test_words_of_corner_bytes(self, n_bytes, masks, data):
-        values = st.sampled_from(SWAR_BYTES) | st.sampled_from(CLEAN_FILLS)
+    def test_words_of_corner_bytes(self, n_bytes, data):
+        values = st.sampled_from(CORNER_BYTES) | st.sampled_from(CLEAN_FILLS)
         raw = data.draw(st.lists(values, min_size=n_bytes, max_size=n_bytes))
         x = int.from_bytes(bytes(raw), "big")
-        assert blocks._has_00_or_ff(x, masks) == scanned_has_00_or_ff(x, n_bytes)
+        assert blocks._has_00_or_ff(x, n_bytes) == scanned_has_00_or_ff(x, n_bytes)
 
 
 # Byte conditioning answers published with the algorithm's own test data.

@@ -22,6 +22,7 @@ from test_core import edge_messages, mixed_keys, stepwise_mac
 KEY = "E6A12F07:9D15C437"
 KEY_OBJ = Key(0xE6A12F07, 0x9D15C437)
 SRC_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maa32"
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
 
 def run_cli(*args, stdin: bytes = b"", cwd=None):
@@ -264,8 +265,10 @@ class TestStreamReader:
             # U+00A0 split by the first 64 KiB read, then a bad byte.
             (b"0" * 65535 + b"\xc2\xa0\xe9\n", 65537, "invalid continuation byte"),
             (b"00" * 35000 + b"\xc2", 70000, "unexpected end of data"),
+            (BOM + b"00" * 35000 + b"\xe9\n", 70003, "invalid continuation byte"),
+            (BOM[:2], 0, "unexpected end of data"),
         ],
-        ids=["second-read", "after-a-split-character", "at-the-end"],
+        ids=["second-read", "after-a-split-character", "at-the-end", "after-a-bom", "half-a-bom"],
     )
     def test_hex_byte_that_is_not_utf8_is_named_by_its_offset(self, tmp_path, text, at, reason):
         path = tmp_path / "h.hex"
@@ -274,6 +277,20 @@ class TestStreamReader:
             code, out, err = run_main("mac", "--key", KEY, "--hex", source, stdin=stdin)
             assert (code, out) == (2, b"")
             assert err == "cannot read %s: byte %d is not UTF-8: %s\n" % (name, at, reason)
+
+    @pytest.mark.parametrize(
+        "text,code,out,err",
+        [
+            (BOM + b"4245 0A0A\n", 0, b"92B79E27\n", ""),
+            (b"4" + BOM + b"245 0A0A\n", 2, b"", "input is not an even run of hex digits\n"),
+        ],
+        ids=["at-the-start", "after-a-digit"],
+    )
+    def test_hex_byte_order_mark_is_dropped_only_at_the_start(self, tmp_path, text, code, out, err):
+        path = tmp_path / "h.hex"
+        path.write_bytes(text)
+        for source, stdin in (str(path), b""), ("-", text):
+            assert run_main("mac", "--key", KEY, "--hex", source, stdin=stdin) == (code, out, err)
 
     def test_hex_file_is_closed(self, tmp_path):
         path = tmp_path / "m.hex"
