@@ -106,7 +106,8 @@ def mul2a(x: int, y: int) -> int:
 
     Drops the carry of the doubling step, so the result is only congruent
     to x*y modulo 2**32 - 2 when the high product half is below 2**31,
-    which holds whenever either operand is below 2**31.  The main loop
+    which holds whenever either operand is below 2**31; there it is
+    mul2's representative, which the segment kernel uses.  The main loop
     feeds it fix2 output, which satisfies that bound by construction.
     Total for all inputs; callers outside that range just get the cheaper
     fold's answer.

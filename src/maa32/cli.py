@@ -6,7 +6,8 @@ corpus plus optional vector files), ``bench`` (throughput of generating and
 chaining a test message) and ``gen`` (write deterministic test messages).
 
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
-or I/O errors, 3 message too long, 4 selftest or vector failure.
+or I/O errors (a full or closed stdout included), 3 message too long, 4
+selftest or vector failure.
 
 Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 256-block segment at a time, so arbitrarily large files run in constant
@@ -34,7 +35,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from itertools import chain
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, TextIO
 
 from . import core
 from .blocks import block_hex, is_hex, is_hex_word
@@ -173,13 +174,20 @@ def _input_stream(args) -> Iterator[BinaryIO]:
         yield fh
 
 
+def _stdout() -> TextIO:
+    """sys.stdout; OSError when the process was started with it closed."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    return sys.stdout
+
+
 def _input_mac(args) -> int:
     with _input_stream(args) as stream:
         return core._mac_stream(args.key, stream)
 
 
 def _cmd_mac(args) -> int:
-    print(block_hex(_input_mac(args)))
+    print(block_hex(_input_mac(args)), file=_stdout())
     return 0
 
 
@@ -203,7 +211,7 @@ def _cmd_trace(args) -> int:
         data = stream.read(core.MAX_MESSAGE_BYTES + 1)
     core._check_byte_count(len(data))
     lines = vectors.trace_lines(core.prelude(args.key), core._read_segments(io.BytesIO(data)))
-    with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
+    with open(args.output, "wb") if args.output else nullcontext(_stdout().buffer) as out:
         out.writelines(lines)
     return 0
 
@@ -234,12 +242,14 @@ def _cmd_selftest(args) -> int:
     for cases, base_dir in groups:
         results += vectors.run_vectors(cases, base_dir=base_dir).results
     report = vectors.VectorReport(tuple(results))
+    out = _stdout()
     for result in report.results:
         line = "%s %s" % (result.status, result.name)
         if result.detail:
             line += ": " + result.detail
-        print(line)
-    print("passed=%d failed=%d skipped=%d" % (report.passed, report.failed, report.skipped))
+        print(line, file=out)
+    totals = (report.passed, report.failed, report.skipped)
+    print("passed=%d failed=%d skipped=%d" % totals, file=out)
     return 0 if report.ok else 4
 
 
@@ -255,7 +265,8 @@ def _cmd_bench(args) -> int:
     rate = args.blocks / elapsed if elapsed > 0 else float("inf")
     print(
         "blocks=%d elapsed=%.3fs rate=%.0f blocks/s result=%s"
-        % (args.blocks, elapsed, rate, block_hex(value))
+        % (args.blocks, elapsed, rate, block_hex(value)),
+        file=_stdout(),
     )
     return 0
 
@@ -263,7 +274,7 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     # A segment at a time, so any block count runs in constant memory.
     segments = core._message_segments(args.blocks)
-    with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
+    with open(args.output, "wb") if args.output else nullcontext(_stdout().buffer) as out:
         for seg in segments:
             out.write(struct.pack(">%dI" % len(seg), *seg))
     return 0
@@ -282,13 +293,29 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # a full or broken stdout fails here
+            sys.stdout.flush()
+        return code
     except MessageTooLong as err:
         print(str(err), file=sys.stderr)
         return 3
     except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
+        _drop_unwritable_stdout()
         return 2
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point an unflushable process stdout at os.devnull, or the exit flush fails (code 120)."""
+    if sys.stdout is None or sys.stdout is not sys.__stdout__:
+        return
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

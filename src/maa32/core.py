@@ -223,18 +223,17 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     for m, e in zip(chain(blocks, (pre.s, pre.t)), _e_table(pre.v0, pre.w)):
         # Inlined main_loop_step: both products take their operands from
         # the XORed X and Y.  The fix operands need no 32-bit mask,
-        # since both keep masks clear the high bits; mul1 is blocks.mul1's
-        # fold.  The high half of the mul2a product is below 2**31, because
-        # the fix2 operand is, so 2 * high + low is below 2**33 - 2 and one
-        # compare-and-subtract of 2**32 - 2 gives mul2a's representative.
+        # since both keep masks clear the high bits.  X folds by mul1's
+        # rule and Y by mul2's, which is mul2a's when the fix2 operand is
+        # below 2**31, as it always is (see blocks).
         x ^= m
         y ^= m
         p = x * (((e + y) | a) & c)
         q = y * (((e + x) | b) & d)
         x = p % mask or (p and mask)
-        y = q - (q >> 32) * twos
-        if y > mask:
-            y -= twos
+        y = q % twos
+        if y < 2 and q > 1:
+            y += twos
     return x ^ y
 
 

@@ -147,16 +147,36 @@ class TestMul2:
         assert mul2(x, y) % TWOS == x * y % TWOS
 
 
+# 0, 1, 2, the word ends, and multiples of 2**31 - 1 and of the factor 3
+# of 2**32 - 1, so that products fall on 0 and 1 under both moduli.
+CLOSED_FORM_EDGE = [0, 1, 2, 3, 0x55555555, 2**31 - 1, 2**32 - 2, 2**32 - 1]
+
+
 class TestMul2a:
+    """Where an operand is below 2**31, mul2a returns mul2's representative.
+
+    The segment kernel folds Y by mul2's rule on that ground: its fix2
+    operand is below 2**31.
+    """
+
     @given(u32.map(fix2), u32)
     @settings(max_examples=300)
-    def test_congruent_on_conditioned_operand(self, x, y):
+    def test_equals_mul2_on_conditioned_operand(self, x, y):
         # fix2 output is below 2**31, the range mul2a is valid in.
-        assert mul2a(x, y) % TWOS == x * y % TWOS
+        assert mul2a(x, y) == mul2(x, y)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), u32)
-    def test_congruent_whenever_one_operand_small(self, x, y):
-        assert mul2a(x, y) % TWOS == x * y % TWOS
+    def test_equals_mul2_whenever_one_operand_small(self, x, y):
+        assert mul2a(x, y) == mul2(x, y)
+
+    @pytest.mark.parametrize(
+        "x",
+        sorted({*(h for h in CLOSED_FORM_EDGE if h < 2**31), *map(fix2, CLOSED_FORM_EDGE)}),
+        ids="{:08X}".format,
+    )
+    @pytest.mark.parametrize("y", CLOSED_FORM_EDGE, ids="{:08X}".format)
+    def test_equals_mul2_on_edge_pairs(self, x, y):
+        assert mul2a(x, y) == mul2(x, y)
 
     @given(u32, u32)
     def test_total_and_in_range(self, x, y):
@@ -193,11 +213,6 @@ MULS = [
     pytest.param(mul2, model.MUL2, id="mul2-composed_mul2"),
     pytest.param(mul2a, model.MUL2A, id="mul2a-composed_mul2a"),
 ]
-
-
-# 0, 1, 2, the word ends, and multiples of 2**31 - 1 and of the factor 3
-# of 2**32 - 1, so that products fall on 0 and 1 under both moduli.
-CLOSED_FORM_EDGE = [0, 1, 2, 3, 0x55555555, 2**31 - 1, 2**32 - 2, 2**32 - 1]
 
 
 def mul1_closed(x, y):

@@ -701,6 +701,70 @@ class TestGenCommand:
         assert proc.stdout == b"2D77E4B7\n"
 
 
+def run_cli_redirected(redirect, *args, cwd):
+    """The CLI with stdout redirected by the shell, and PYTHONUNBUFFERED unset.
+
+    Unset, as in a user's shell, stdout is buffered, so the interpreter
+    flushes it again at exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        ["sh", "-c", '"$0" "$@" ' + redirect, sys.executable, "-m", "maa32", *args],
+        capture_output=True,
+        cwd=cwd,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestUnwritableStdout:
+    """A full or closed stdout is one line on stderr and exit 2.
+
+    Neither the interpreter's failed flush at exit (exit 120, "Exception
+    ignored"), nor a traceback, nor a silent exit 0.
+    """
+
+    COMMANDS = [
+        ["mac", "--key", KEY, "m.bin"],
+        ["gen", "--blocks", "600"],
+        ["trace", "--key", KEY, "m.bin"],
+        ["selftest"],
+        ["bench", "--blocks", "1000"],
+    ]
+    REDIRECTS = [
+        pytest.param(
+            ">/dev/full",
+            b"No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            id="full",
+        ),
+        pytest.param(">&-", b"standard output is closed", id="closed"),
+    ]
+
+    @pytest.mark.parametrize("redirect, message", REDIRECTS)
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_exits_2_with_one_line(self, tmp_path, argv, redirect, message):
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        proc = run_cli_redirected(redirect, *argv, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), proc.stderr
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_verify_needs_no_stdout(self, tmp_path, code):
+        # A match exits 0 in silence; a mismatch exits 1 with one stderr line.
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        argv = ["verify", "--key", KEY, "--mac", "%08X" % (mac_bytes(KEY_OBJ, b"abcdefgh") ^ code)]
+        proc = run_cli_redirected(">&-", *argv, "m.bin", cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count(b"\n") == code
+
+    def test_output_file_needs_no_stdout(self, tmp_path):
+        proc = run_cli_redirected(">&-", "gen", "--blocks", "3", "-o", "m.bin", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "m.bin").read_bytes() == blocks_to_bytes(make_message(3))
+
+
 @pytest.mark.parametrize("argv", [["gen"], ["gen", "-o", "m.bin"], ["bench"]])
 def test_negative_block_count_exits_2_and_writes_nothing(tmp_path, argv):
     proc = run_cli(*argv, "--blocks", "-1", cwd=tmp_path)

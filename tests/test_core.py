@@ -15,6 +15,7 @@ from maa32.core import (
     Key,
     LoopState,
     MessageTooLong,
+    PreludeOutput,
     coda,
     mac,
     mac_bytes,
@@ -355,52 +356,77 @@ class TestProcessSegment:
 
 
 class TestKernelRepresentatives:
-    """The kernel's mul1 where its product is 0 or a nonzero multiple of 2**32 - 1.
+    """The kernel's folds where a product is 0 or a nonzero multiple of its modulus.
 
     The block at a chosen position of a unit is set so that X ^ M is 0
     (product 0, so X becomes 0) or 0xFFFFFFFF (product congruent to 0 but
-    not 0, so X becomes 0xFFFFFFFF), at positions on both sides of the E
-    table's 32-block period and at the ends of full and chained units.
+    not 0, so X becomes 0xFFFFFFFF), or so that Y ^ M is 0 (Y becomes 0)
+    or 0xFFFFFFFE (Y becomes 0xFFFFFFFE), at positions on both sides of
+    the E table's 32-block period and at the ends of full and chained units.
     """
 
     KEYS = [STANDARD_KEY, Key(0x80018001, 0x80018000)]  # clean, and with a 00 byte
     SPOTS = [(256, p) for p in (1, 31, 32, 33, 256)] + [
         (257, p) for p in (1, 31, 32, 33, 256, 257)
     ]
+    # (field, target); the X cases keep the ids they had before Y had any.
+    TARGETS = [
+        pytest.param("x", 0, id="0"),
+        pytest.param("x", 0xFFFFFFFF, id="4294967295"),
+        pytest.param("y", 0, id="y-0"),
+        pytest.param("y", 0xFFFFFFFE, id="y-4294967294"),
+    ]
 
     @staticmethod
-    def hit(pre, unit, position, target):
-        """Set block `position` (1-based) so that X ^ M == target there."""
-        unit[position - 1] = fold(pre, unit[: position - 1]).x ^ target
-        assert fold(pre, unit[:position]).x == target  # the case is reached
+    def hit(pre, unit, position, field, target):
+        """Set block `position` (1-based) so that X ^ M or Y ^ M == target there."""
+        unit[position - 1] = getattr(fold(pre, unit[: position - 1]), field) ^ target
+        assert getattr(fold(pre, unit[:position]), field) == target  # the case is reached
 
     @pytest.mark.parametrize("key", KEYS)
     @pytest.mark.parametrize("length, position", SPOTS)
-    @pytest.mark.parametrize("target", [0, 0xFFFFFFFF])
-    def test_segment_equals_stepwise_fold(self, key, length, position, target):
+    @pytest.mark.parametrize("field, target", TARGETS)
+    def test_segment_equals_stepwise_fold(self, key, length, position, field, target):
         pre = prelude(key)
         rng = random.Random(length * 1000 + position)
         unit = [rng.getrandbits(32) for _ in range(length)]
-        self.hit(pre, unit, position, target)
+        self.hit(pre, unit, position, field, target)
         assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
 
     @pytest.mark.parametrize("key", KEYS)
     @pytest.mark.parametrize("position", [2, 31, 32, 33, 256, 257])
-    @pytest.mark.parametrize("target", [0, 0xFFFFFFFF])
-    def test_chained_unit_through_mac(self, key, position, target):
+    @pytest.mark.parametrize("field, target", TARGETS)
+    def test_chained_unit_through_mac(self, key, position, field, target):
         # The second unit is the first segment's result followed by the
         # next 256 blocks, so its first block is not chosen here.
         pre = prelude(key)
         rng = random.Random(position)
         message = [rng.getrandbits(32) for _ in range(512)]
         unit = [coda(fold(pre, message[:256]), pre.w, pre.s, pre.t), *message[256:]]
-        self.hit(pre, unit, position, target)
+        self.hit(pre, unit, position, field, target)
         message[256:] = unit[1:]
         data = b"".join(m.to_bytes(4, "big") for m in message)
         want = coda(fold(pre, unit), pre.w, pre.s, pre.t)
         assert stepwise_mac(key, data) == want
         assert mac(key, message) == want
         assert mac_bytes(key, data) == want
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 33, 256, 257])
+    def test_y_product_of_residue_one(self, length):
+        """Y ^ M is G's inverse modulo 2**32 - 2, so Y becomes 0xFFFFFFFF.
+
+        A key reaches this only through a search over 2**32 values of M,
+        so the prelude is built instead: y0 is set from G = fix2(E1 + (x0 ^ M))
+        for the first block M, which for an empty unit is the coda's S.
+        """
+        rng = random.Random(length)
+        x0, v0, w, m, s, t = (rng.getrandbits(32) for _ in range(6))
+        g = blocks.fix2(((blocks.cyc(v0) ^ w) + (x0 ^ m)) & blocks.MASK)
+        y0 = pow(g, -1, 2**32 - 2) ^ m
+        unit = [m, *(rng.getrandbits(32) for _ in range(length - 1))] if length else []
+        pre = PreludeOutput(x0, y0, v0, w, s if length else m, t)
+        assert fold(pre, [m]).y == 0xFFFFFFFF  # the case is reached
+        assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
 
 
 class TestKeyCaches:
