@@ -7,7 +7,10 @@ chaining a test message) and ``gen`` (write deterministic test messages).
 
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
 or I/O errors (a full or closed stdout included), 3 message too long, 4
-selftest or vector failure.
+selftest or vector failure.  ``main`` owns the standard streams: it refuses
+a closed stdout before reading any input, unless the command writes none;
+only ``_report`` writes stderr, and a closed or full stderr never changes
+the exit code, argparse's exits included.
 
 Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 256-block segment at a time, so arbitrarily large files run in constant
@@ -33,9 +36,9 @@ import stat
 import struct
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext, suppress
 from itertools import chain
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 from . import core
 from .blocks import block_hex, is_hex, is_hex_word
@@ -174,11 +177,17 @@ def _input_stream(args) -> Iterator[BinaryIO]:
         yield fh
 
 
-def _stdout() -> TextIO:
-    """sys.stdout; OSError when the process was started with it closed."""
-    if sys.stdout is None:
-        raise OSError("standard output is closed")
-    return sys.stdout
+def _output(args) -> AbstractContextManager[BinaryIO]:
+    """The ``-o`` file, opened for writing, or stdout's bytes."""
+    return open(args.output, "wb") if args.output is not None else nullcontext(sys.stdout.buffer)
+
+
+def _report(message: str, code: int) -> int:
+    """Write message as a line on stderr and return code, which no stderr fault changes."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(message, file=sys.stderr)
+    return code
 
 
 def _input_mac(args) -> int:
@@ -187,7 +196,7 @@ def _input_mac(args) -> int:
 
 
 def _cmd_mac(args) -> int:
-    print(block_hex(_input_mac(args)), file=_stdout())
+    print(block_hex(_input_mac(args)))
     return 0
 
 
@@ -195,11 +204,8 @@ def _cmd_verify(args) -> int:
     computed = _input_mac(args)
     if computed == args.mac:
         return 0
-    print(
-        "mismatch: computed=%s expected=%s" % (block_hex(computed), block_hex(args.mac)),
-        file=sys.stderr,
-    )
-    return 1
+    mismatch = "mismatch: computed=%s expected=%s" % (block_hex(computed), block_hex(args.mac))
+    return _report(mismatch, 1)
 
 
 def _cmd_trace(args) -> int:
@@ -211,7 +217,7 @@ def _cmd_trace(args) -> int:
         data = stream.read(core.MAX_MESSAGE_BYTES + 1)
     core._check_byte_count(len(data))
     lines = vectors.trace_lines(core.prelude(args.key), core._read_segments(io.BytesIO(data)))
-    with open(args.output, "wb") if args.output else nullcontext(_stdout().buffer) as out:
+    with _output(args) as out:
         out.writelines(lines)
     return 0
 
@@ -234,22 +240,20 @@ def _cmd_selftest(args) -> int:
         try:
             parsed = vectors.parse_vector_file(path)
         except (OSError, UnicodeDecodeError) as err:
-            print("cannot read %s: %s" % (path, err), file=sys.stderr)
-            return 2
+            return _report("cannot read %s: %s" % (path, err), 2)
         groups.append((parsed, os.path.dirname(path) or "."))
 
     results: list[vectors.VectorResult] = []
     for cases, base_dir in groups:
         results += vectors.run_vectors(cases, base_dir=base_dir).results
     report = vectors.VectorReport(tuple(results))
-    out = _stdout()
     for result in report.results:
         line = "%s %s" % (result.status, result.name)
         if result.detail:
             line += ": " + result.detail
-        print(line, file=out)
+        print(line)
     totals = (report.passed, report.failed, report.skipped)
-    print("passed=%d failed=%d skipped=%d" % totals, file=out)
+    print("passed=%d failed=%d skipped=%d" % totals)
     return 0 if report.ok else 4
 
 
@@ -265,8 +269,7 @@ def _cmd_bench(args) -> int:
     rate = args.blocks / elapsed if elapsed > 0 else float("inf")
     print(
         "blocks=%d elapsed=%.3fs rate=%.0f blocks/s result=%s"
-        % (args.blocks, elapsed, rate, block_hex(value)),
-        file=_stdout(),
+        % (args.blocks, elapsed, rate, block_hex(value))
     )
     return 0
 
@@ -274,7 +277,7 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     # A segment at a time, so any block count runs in constant memory.
     segments = core._message_segments(args.blocks)
-    with open(args.output, "wb") if args.output else nullcontext(_stdout().buffer) as out:
+    with _output(args) as out:
         for seg in segments:
             out.write(struct.pack(">%dI" % len(seg), *seg))
     return 0
@@ -291,31 +294,27 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        writes_stdout = args.command != "verify" and getattr(args, "output", None) is None
+        if writes_stdout and sys.stdout is None:
+            return _report("standard output is closed", 2)
         code = _COMMANDS[args.command](args)
         if sys.stdout is not None:  # a full or broken stdout fails here
             sys.stdout.flush()
         return code
     except MessageTooLong as err:
-        print(str(err), file=sys.stderr)
-        return 3
+        return _report(str(err), 3)
     except (OSError, ValueError) as err:
-        print(str(err), file=sys.stderr)
-        _drop_unwritable_stdout()
-        return 2
-
-
-def _drop_unwritable_stdout() -> None:
-    """Point an unflushable process stdout at os.devnull, or the exit flush fails (code 120)."""
-    if sys.stdout is None or sys.stdout is not sys.__stdout__:
-        return
-    try:
-        sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        return _report(str(err), 2)
+    finally:  # an unflushable process stream would fail the exit flush (code 120)
+        for stream in filter(None, (sys.__stdout__, sys.__stderr__)):
+            try:
+                stream.flush()
+            except OSError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 ``perfbench/`` is parsed here, never imported or run.  Its modules import
 the package as ``maa32``, ``core``, ``cli`` and ``vectors``; every name
 they import from it and every attribute they take of those four must
-resolve, or each benchmark run fails before its first timed call.
+resolve, or each benchmark run fails before its first timed call.  The
+functions its tracer wraps, named by string in ``HOOKS``, must resolve too,
+or their per-layer metrics silently read 0.
 """
 
 import ast
@@ -49,6 +51,40 @@ def test_name_resolves(path, module, name):
     owner = importlib.import_module(module)
     if not hasattr(owner, name):
         importlib.import_module(module + "." + name)  # a submodule, as `from maa32 import core`
+
+
+def hooked_names():
+    """(module, attribute) of each entry of ``perfbench/tracing.py``'s HOOKS.
+
+    The tracer looks the hooks up by string, which the attribute scan above
+    cannot see, and skips a name that is gone, so its metric reads 0.
+    """
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]:
+            return [tuple(ast.literal_eval(entry)[:2]) for entry in node.value.elts]
+    raise AssertionError("tracing.py has no HOOKS")
+
+
+# Hooks whose function no longer exists, so their metrics read 0 until the
+# benchmark is re-pointed (ROADMAP item 1).  A listed name may leave HOOKS;
+# no other hook may be dead.
+DEAD_HOOKS = {
+    ("maa32.core", "pad_message"),
+    ("maa32.core", "prelude_intermediate"),
+    ("maa32.cli", "mac"),
+    ("maa32.cli", "pad_message"),
+}
+HOOKED = hooked_names()
+
+
+def test_the_hook_scan_finds_the_live_hooks():
+    assert {("maa32.core", "process_segment"), ("maa32.cli", "main")} <= set(HOOKED)
+
+
+@pytest.mark.parametrize("module, name", sorted(set(HOOKED) - DEAD_HOOKS))
+def test_hooked_name_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None))
 
 
 def test_corpus_report_has_the_gate_fields():

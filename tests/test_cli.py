@@ -7,6 +7,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -763,6 +764,91 @@ class TestUnwritableStdout:
         proc = run_cli_redirected(">&-", "gen", "--blocks", "3", "-o", "m.bin", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "m.bin").read_bytes() == blocks_to_bytes(make_message(3))
+
+
+class TestUnwritableStderr:
+    """A closed or full stderr never changes the exit code.
+
+    Only the codes are checked: what reaches such a stderr cannot be read
+    back.  The interpreter flushes stderr again at exit, and a failed flush
+    there would turn each code into 120.
+    """
+
+    CASES = [
+        pytest.param(["mac", "m.bin"], 2, id="usage-error"),
+        pytest.param(["mac", "--key", KEY, "missing.bin"], 2, id="missing-input"),
+        pytest.param(["mac", "--key", KEY, "over.bin"], 3, id="over-cap"),
+        pytest.param(["verify", "--key", KEY, "--mac", "00000000", "m.bin"], 1, id="mismatch"),
+        pytest.param(["selftest", "--inject-fault"], 4, id="injected-fault"),
+    ]
+    REDIRECTS = [
+        pytest.param("2>&-", id="closed"),
+        pytest.param(
+            "2>/dev/full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            id="full",
+        ),
+        # Open for reading only, as a wrapper script can leave the descriptor.
+        pytest.param("2</dev/null", id="read-only"),
+    ]
+
+    @pytest.mark.parametrize("redirect", REDIRECTS)
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_exit_code_is_kept(self, tmp_path, argv, code, redirect):
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        (tmp_path / "over.bin").write_bytes(bytes(MAX_MESSAGE_BYTES + 4))
+        proc = run_cli_redirected(">out.txt " + redirect, *argv, cwd=tmp_path)
+        assert proc.returncode == code
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_help_to_a_full_stdout_exits_0(self, tmp_path):
+        proc = run_cli_redirected(">/dev/full", "--help", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_is_refused_before_the_input_is_read(tmp_path):
+    proc = run_cli_redirected(">&-", "mac", "--key", KEY, "missing.bin", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == b"standard output is closed\n"
+
+
+class TestTextOnlyStreams:
+    """cli.main in this process with StringIO streams, which have no .buffer
+    and no file descriptor, as the benchmark's traced run calls it."""
+
+    def run(self, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def test_mac_prints_the_nine_character_line(self, tmp_path):
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        assert self.run("mac", "--key", KEY, str(tmp_path / "m.bin")) == (
+            0, "%08X\n" % mac_bytes(KEY_OBJ, b"abcdefgh"), ""
+        )
+
+    def test_verify_mismatch_is_one_stderr_line(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"abcdefgh")
+        code, out, err = self.run("verify", "--key", KEY, "--mac", "00000000", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("mismatch: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_over_cap_file_exits_3(self, tmp_path):
+        (tmp_path / "over.bin").write_bytes(bytes(MAX_MESSAGE_BYTES + 4))
+        code, out, err = self.run("mac", "--key", KEY, str(tmp_path / "over.bin"))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["gen", "--blocks", "3"], ["trace", "--key", KEY, "m.bin"]])
+def test_empty_output_path_exits_2_and_writes_nothing(tmp_path, argv):
+    (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+    proc = run_cli(*argv, "-o", "", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert [path.name for path in tmp_path.iterdir()] == ["m.bin"]
 
 
 @pytest.mark.parametrize("argv", [["gen"], ["gen", "-o", "m.bin"], ["bench"]])
