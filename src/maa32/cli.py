@@ -22,8 +22,8 @@ and refused as soon as the bytes it decodes to pass the cap.  ``gen`` and
 ``bench`` make their message a segment at a time, so no command holds more
 than the capped input.
 
-The vector corpus (``vectors``) is imported only by the commands that use
-it, so that ``mac`` and ``verify`` start without building it.
+The vector corpus (``vectors``) is imported only by ``selftest``, so that
+the other commands start without building it.
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ def _mac_argument(text: str) -> int:
     return int(text, 16)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own sends the usage to stdout if stderr is None
+        self.exit(_report("%s%s: error: %s" % (self.format_usage(), self.prog, message), 2))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maa32",
         description="32-bit message authenticator (ISO 8731-2 algorithm)",
     )
@@ -209,14 +214,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from . import vectors
-
     # Read one byte past the cap, so that over-cap input is refused
     # before anything is written.
     with _input_stream(args) as stream:
         data = stream.read(core.MAX_MESSAGE_BYTES + 1)
     core._check_byte_count(len(data))
-    lines = vectors.trace_lines(core.prelude(args.key), core._read_segments(io.BytesIO(data)))
+    lines = core.trace_lines(core.prelude(args.key), core._read_segments(io.BytesIO(data)))
     with _output(args) as out:
         out.writelines(lines)
     return 0

@@ -32,8 +32,9 @@ intermediate result to the next segment (a 257-block unit) and continue.
 The last result is the MAC.  A message of exactly 256 blocks is a single
 segment.  Messages of 1,000,000 blocks or more are rejected.
 
-Every input reaches the segment kernel through one chaining loop.  Bytes
-are read and unpacked a segment at a time; blocks, from an iterable or the
+Every input reaches the segment kernel through one chaining loop, which
+trace_lines repeats with main_loop_step, a trace line per step.  Bytes are
+read and unpacked a segment at a time; blocks, from an iterable or the
 test-message generator, are cut by _segments.  The byte and iterable
 sources check and cap the input themselves, so the MAC and the tracer get
 the same checks; the generator's blocks are unchecked and uncapped.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import io
 import struct
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 from .blocks import (
@@ -322,6 +323,28 @@ def _chain_segments(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> in
     for seg in it:
         unit = (process_segment(pre, unit), *seg)
     return process_segment(pre, unit)
+
+
+def trace_lines(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> Iterator[bytes]:
+    """The chaining loop, stepped: the trace as ASCII bytes, a line at a time.
+
+    Folds main_loop_step over each unit (the previous result prepended to
+    the segment, then the two trailer blocks).  Yields an ``N=`` line per
+    absorbed block, numbered straight through, a ``Z<i>=`` line per
+    segment, then the ``MAC=`` line: the last segment's result.  Values
+    are eight uppercase hex digits, and every line ends in ``\n``.
+    """
+    steps = count(1)
+    z = None
+    for i, seg in enumerate(segments, 1):
+        unit = seg if z is None else (z, *seg)
+        state = LoopState(pre.x0, pre.y0, pre.v0)
+        for m in (*unit, pre.s, pre.t):
+            state = main_loop_step(state, pre.w, m)
+            yield b"N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (next(steps), m, *state)
+        z = state.x ^ state.y
+        yield b"Z%d=%08X\n" % (i, z)
+    yield b"MAC=%08X\n" % z
 
 
 def _block_segments(message: Iterable[int]) -> Iterator[tuple[int, ...]]:

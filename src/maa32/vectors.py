@@ -36,11 +36,9 @@ detail.  The message is then made as it is consumed: bytes (``MSGHEX``,
 ``MSGFILE``) are read and padded by ``mac_bytes``'s reader, and blocks are
 checked, and capped once more, by ``mac``'s segment source.
 
-A trace is ASCII bytes: one line per absorbed block (chaining and trailer
-blocks included, numbered straight through), a ``Z<i>=`` line per segment
-and a final ``MAC=`` line, values as eight uppercase hex digits, every line
-ending in ``\n``.  A trace case streams it against its golden a line at a
-time and compares bytes, line ends included: a CRLF golden FAILs.
+A trace case streams ``core.trace_lines`` (which describes the format)
+against its golden a line at a time and compares bytes, line ends
+included: a CRLF golden FAILs.
 """
 
 from __future__ import annotations
@@ -49,22 +47,20 @@ import io
 import os
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
 from .core import (
     Key,
-    LoopState,
     MessageTooLong,
-    PreludeOutput,
     _block_segments,
     _check_block_count,
     _message_blocks,
     _read_segments,
     mac,
-    main_loop_step,
     make_message,
     prelude,
+    trace_lines,
 )
 
 STATUS_PASS = "PASS"
@@ -245,29 +241,6 @@ def emit_trace(key: Key, message: Iterable[int]) -> MacTrace:
     segments = tuple(_block_segments(message))
     text = b"".join(trace_lines(prelude(key), segments)).decode()
     return MacTrace(text, int(text[-9:-1], 16))
-
-
-def trace_lines(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> Iterator[bytes]:
-    """The chaining loop, stepped: the trace as ASCII bytes, a line at a time.
-
-    Folds main_loop_step over each unit (the previous result prepended to
-    the segment, then the two trailer blocks), and yields an ``N=`` line
-    per absorbed block, numbered straight through, a ``Z<i>=`` line per
-    segment, then the ``MAC=`` line: the last segment's result.  Values
-    are eight uppercase hex digits, as ``block_hex`` renders them.
-    """
-    n = 0
-    z = None
-    for i, seg in enumerate(segments, 1):
-        unit = seg if z is None else (z, *seg)
-        state = LoopState(pre.x0, pre.y0, pre.v0)
-        for m in (*unit, pre.s, pre.t):
-            state = main_loop_step(state, pre.w, m)
-            n += 1
-            yield b"N=%d M=%08X X=%08X Y=%08X V=%08X\n" % (n, m, *state)
-        z = state.x ^ state.y
-        yield b"Z%d=%08X\n" % (i, z)
-    yield b"MAC=%08X\n" % z
 
 
 # ---------------------------------------------------------------------------

@@ -88,18 +88,25 @@ def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
     assert imported.is_relative_to(SRC_PACKAGE), imported
 
 
-def test_mac_commands_do_not_import_the_vector_corpus():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, maa32, maa32.cli; print('maa32.vectors' in sys.modules)",
-        ],
-        capture_output=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
+# Runs cli.main on its arguments, then prints whether the vector corpus was imported.
+IMPORTS_VECTORS = (
+    "import sys; from maa32 import cli; code = cli.main(sys.argv[1:]); "
+    "print(code, 'maa32.vectors' in sys.modules, file=sys.stderr)"
+)
+
+
+def test_mac_commands_do_not_import_the_vector_corpus(tmp_path):
+    # Every command but selftest: trace takes its engine from core too.
+    (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+    for argv, code in [(["mac"], 0), (["verify", "--mac", "00000000"], 1), (["trace"], 0)]:
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORTS_VECTORS, *argv, "--key", KEY, "m.bin"],
+            capture_output=True,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == b"%d False" % code, (argv, proc.stderr)
 
 
 def test_cli_module_runs_main_as_a_script():
@@ -767,10 +774,10 @@ class TestUnwritableStdout:
 
 
 class TestUnwritableStderr:
-    """A closed or full stderr never changes the exit code.
+    """A closed or full stderr never changes the exit code, and sends nothing to stdout.
 
-    Only the codes are checked: what reaches such a stderr cannot be read
-    back.  The interpreter flushes stderr again at exit, and a failed flush
+    Only the codes and stdout are checked: what reaches such a stderr
+    cannot be read back.  The interpreter flushes stderr again at exit, and a failed flush
     there would turn each code into 120.
     """
 
@@ -799,6 +806,18 @@ class TestUnwritableStderr:
         (tmp_path / "over.bin").write_bytes(bytes(MAX_MESSAGE_BYTES + 4))
         proc = run_cli_redirected(">out.txt " + redirect, *argv, cwd=tmp_path)
         assert proc.returncode == code
+        if argv[0] != "selftest":  # the one case that writes stdout
+            assert (tmp_path / "out.txt").read_bytes() == b""
+
+    def test_usage_error_writes_no_stdout_when_stderr_is_none(self):
+        # argparse prints its usage line on stdout when sys.stderr is None,
+        # as it is in an interpreter started with descriptor 2 closed.
+        out = io.StringIO()
+        with mock.patch.multiple(sys, stdout=out, stderr=None):
+            with pytest.raises(SystemExit) as exit:
+                cli.main(["mac", "m.bin"])
+        assert exit.value.code == 2
+        assert out.getvalue() == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_help_to_a_full_stdout_exits_0(self, tmp_path):

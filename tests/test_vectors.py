@@ -341,12 +341,13 @@ class TestTrace:
     @pytest.mark.parametrize("as_iterator", [False, True])
     def test_overlong_message_refused_before_any_step(self, monkeypatch, as_iterator):
         steps = []
+        step = core.main_loop_step
 
         def counted(*args):
             steps.append(1)
-            return core.main_loop_step(*args)
+            return step(*args)
 
-        monkeypatch.setattr(vectors, "main_loop_step", counted)
+        monkeypatch.setattr(core, "main_loop_step", counted)
         message = [0] * core.MAX_MESSAGE_BLOCKS
         with pytest.raises(core.MessageTooLong):
             emit_trace(STANDARD_KEY, iter(message) if as_iterator else message)
