@@ -21,8 +21,8 @@ to a block boundary).  Authentication runs in three phases:
   both operands before either product, so the Y update never reads the
   new X.  fix2 keeps its output below 2**31, which is what makes mul2a
   safe here.  V rotates one bit per block, so the i-th E is
-  rot(V0, i) XOR W and repeats every 32 blocks; like the prelude, that
-  table of E is cached per key.
+  rot(V0, i) XOR W and repeats every 32 blocks; that table of E is built
+  with the prelude, and cached and evicted with it.
 * coda: two extra loop iterations with M = S and M = T, then the result
   is X XOR Y.
 
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import io
 import struct
-from functools import lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache
 from itertools import chain, count, islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
@@ -70,8 +71,8 @@ SEGMENT_BYTES = 4 * SEGMENT_BLOCKS
 # Longest accepted byte input: one byte more pads to MAX_MESSAGE_BLOCKS.
 MAX_MESSAGE_BYTES = 4 * (MAX_MESSAGE_BLOCKS - 1)
 
-# Keys whose prelude is kept.  Covers the keys in use at once in
-# many-message traffic; a key beyond it costs one expansion per miss.
+# Keys whose prelude and E table are kept.  Covers the keys in use at
+# once in many-message traffic; a key beyond it costs one expansion per miss.
 PRELUDE_CACHE_SIZE = 64
 
 # Block i (1-based) of the deterministic test-message generator.
@@ -87,13 +88,12 @@ class Key(NamedTuple):
     second: int
 
 
-class PreludeOutput(NamedTuple):
-    x0: int  # multiplier accumulator seeds
-    y0: int
-    v0: int  # rotating word and its fixed XOR mask
-    w: int
-    s: int  # trailer blocks mixed in by the coda
-    t: int
+class PreludeOutput(namedtuple("PreludeOutput", "x0 y0 v0 w s t")):
+    """The key's schedule: multiplier seeds x0 and y0, rotating word v0 and
+    its XOR mask w, the coda's trailer blocks s and t, and e_table, which a
+    cache miss stores and a prelude built by hand or by _replace builds."""
+
+    e_table = cached_property(lambda pre: _e_table(pre.v0, pre.w))
 
 
 class LoopState(NamedTuple):
@@ -188,7 +188,9 @@ def _cached_prelude(j: int, k: int) -> PreludeOutput:
         h4, h5, _ = byt_pat(h4, h5)
         h6, h7, _ = byt_pat(h6, h7)
         h8, h9, _ = byt_pat(h8, h9)
-    return PreludeOutput(h4, h5, h6, h7, h8, h9)
+    pre = PreludeOutput(h4, h5, h6, h7, h8, h9)
+    pre.e_table = _e_table(h6, h7)  # cheaper than a first cached_property access
+    return pre
 
 
 def main_loop_step(state: LoopState, w: int, m: int) -> LoopState:
@@ -219,9 +221,9 @@ def process_segment(pre: PreludeOutput, blocks: Sequence[int]) -> int:
     mask, twos = MASK, MASK - 1
     a, c = FIX1_SET, FIX1_KEEP
     b, d = FIX2_SET, FIX2_KEEP
-    # The E table is cached per key, next to the prelude; the coda's S and
-    # T take the two entries after the last message block.
-    for m, e in zip(chain(blocks, (pre.s, pre.t)), _e_table(pre.v0, pre.w)):
+    # The key's E table; the coda's S and T take the two entries after the
+    # last message block.
+    for m, e in zip(chain(blocks, (pre.s, pre.t)), pre.e_table):
         # Inlined main_loop_step: both products take their operands from
         # the XORed X and Y.  The fix operands need no 32-bit mask,
         # since both keep masks clear the high bits.  X folds by mul1's
@@ -247,7 +249,6 @@ _W_LANES = sum(1 << (_LANE_BITS * (_LANES - i) + 32) for i in range(1, _LANES + 
 _UNPACK_LANES = struct.Struct(">" + "4xI4x" * _LANES)
 
 
-@lru_cache(maxsize=PRELUDE_CACHE_SIZE)
 def _e_table(v0: int, w: int) -> tuple[int, ...]:
     """E = rot(V0, i) ^ W for i = 1..288: period 32, 9 times, covers a unit and its coda.
 

@@ -5,6 +5,8 @@ multiplications and the byte conditioning must return its representatives
 exactly, and congruences are checked with plain ``%``.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,6 +281,115 @@ class TestExactRepresentatives:
     @settings(max_examples=400)
     def test_byt_pat(self, a, b):
         assert byt_pat(a, b) == model.BYT(a, b)
+
+
+def width_model(w):
+    """spec_model's MUL1, MUL2 and MUL2A with the word 2**32 replaced by 2**w.
+
+    The standard's folds, ADD and CAR on the product's halves, are defined
+    at any word width, so the closed forms can be checked on every pair of
+    operands at a small width.
+    """
+    word = 2**w
+
+    def ADD(x, y):
+        return (x + y) % word
+
+    def CAR(x, y):
+        return (x + y) // word
+
+    def MUL1(x, y):
+        U, L = x * y // word, x * y % word
+        S, C = ADD(U, L), CAR(U, L)
+        return ADD(S, C)
+
+    def MUL2(x, y):
+        U, L = x * y // word, x * y % word
+        D, E = ADD(U, U), CAR(U, U)
+        F = ADD(D, 2 * E)
+        S, C = ADD(F, L), CAR(F, L)
+        return ADD(S, 2 * C)
+
+    def MUL2A(x, y):
+        U, L = x * y // word, x * y % word
+        D = ADD(U, U)
+        S, C = ADD(D, L), CAR(D, L)
+        return ADD(S, 2 * C)
+
+    return MUL1, MUL2, MUL2A
+
+
+def width_closed_forms(w):
+    """blocks.mul1's and blocks.mul2's closed forms, and the segment kernel's
+    Y fold, with 2**32 - 1 and 2**32 - 2 replaced by 2**w - 1 and 2**w - 2."""
+    ones, twos = 2**w - 1, 2**w - 2
+
+    def mul1(x, y):
+        p = x * y
+        return p % ones or (p and ones)
+
+    def mul2(x, y):
+        p = x * y
+        return (p - 2) % twos + 2 if p > 1 else p
+
+    def kernel_y(x, y):
+        q = x * y
+        y = q % twos
+        if y < 2 and q > 1:
+            y += twos
+        return y
+
+    return mul1, mul2, kernel_y
+
+
+def mismatches(w, f, g, where=lambda x, y: True):
+    """The pairs x, y < 2**w, among those where allows, on which f and g differ."""
+    pairs = itertools.product(range(2**w), repeat=2)
+    return [(x, y) for x, y in pairs if where(x, y) and f(x, y) != g(x, y)]
+
+
+SMALL_WIDTHS = range(4, 9)
+
+
+class TestClosedFormsAtSmallWidths:
+    """The closed forms against the standard's folds on every pair of operands.
+
+    This does not prove them at 32 bits, but a rule that holds at every
+    width from 4 to 8, and at 32 bits on the edge grid, rests on the
+    algebra rather than on samples.
+    """
+
+    @pytest.mark.parametrize("w", SMALL_WIDTHS)
+    def test_mul1(self, w):
+        assert mismatches(w, width_closed_forms(w)[0], width_model(w)[0]) == []
+
+    @pytest.mark.parametrize("w", SMALL_WIDTHS)
+    def test_mul2(self, w):
+        assert mismatches(w, width_closed_forms(w)[1], width_model(w)[1]) == []
+
+    @pytest.mark.parametrize("w", SMALL_WIDTHS)
+    def test_kernel_y_fold(self, w):
+        assert mismatches(w, width_closed_forms(w)[2], width_model(w)[1]) == []
+
+    @pytest.mark.parametrize("w", SMALL_WIDTHS)
+    def test_mul2a_equals_mul2_below_half_a_word(self, w):
+        _, MUL2, MUL2A = width_model(w)
+        below = lambda x, y: min(x, y) < 2 ** (w - 1)
+        assert mismatches(w, MUL2A, MUL2, below) == []
+
+    @pytest.mark.parametrize("x", CLOSED_FORM_EDGE, ids="{:08X}".format)
+    @pytest.mark.parametrize("y", CLOSED_FORM_EDGE, ids="{:08X}".format)
+    def test_width_32_is_the_model_and_blocks(self, x, y):
+        folds = [f(x, y) for f in width_model(32)]
+        assert folds == [model.MUL1(x, y), model.MUL2(x, y), model.MUL2A(x, y)]
+        assert [f(x, y) for f in width_closed_forms(32)] == [mul1(x, y), mul2(x, y), mul2(x, y)]
+
+    def test_wrong_representatives_fail_at_width_4(self):
+        MUL1, MUL2, _ = width_model(4)
+        canonical_mul2 = lambda x, y: x * y % 14
+        mul1_never_zero = lambda x, y: x * y % 15 or 15
+        assert mismatches(4, canonical_mul2, MUL2)
+        assert mismatches(4, mul1_never_zero, MUL1)
 
 
 # The two byte values the 00/FF test looks for, their neighbours 01 and

@@ -1,6 +1,7 @@
 """Key expansion, the block loop, segmentation, and the MAC itself."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -272,10 +273,11 @@ class TestKeyExpansionMiss:
     def check(j, k):
         h, pre, table = reference_expansion(j, k)
         assert expansion(Key(j, k)) == h
-        assert core._cached_prelude.__wrapped__(j, k) == pre
-        assert core._e_table.__wrapped__(pre[2], pre[3]) == table
+        built = core._cached_prelude.__wrapped__(j, k)
+        assert built == pre
+        assert built.e_table == core._e_table(pre[2], pre[3]) == table
         # Raw words as V0 and W too, which conditioning never leaves.
-        assert core._e_table.__wrapped__(j, k) == reference_e_table(j, k)
+        assert core._e_table(j, k) == reference_e_table(j, k)
 
     @pytest.mark.parametrize("j", EDGE_WORDS)
     @pytest.mark.parametrize("k", EDGE_WORDS)
@@ -430,8 +432,15 @@ class TestKernelRepresentatives:
 
 
 class TestKeyCaches:
+    """One cache holds each key's schedule: its prelude and its E table."""
+
+    def test_core_has_one_cache(self):
+        cached = [name for name, value in vars(core).items() if hasattr(value, "cache_info")]
+        assert cached == ["_cached_prelude"]
+        assert core._cached_prelude.cache_parameters()["maxsize"] == core.PRELUDE_CACHE_SIZE
+
     def test_macs_stay_exact_when_keys_are_evicted_and_reused(self):
-        # More distinct keys than the caches hold (one in four with a
+        # More distinct keys than the cache holds (one in four with a
         # 00 or FF byte), then the first key again, which was evicted.
         rng = random.Random(8)
         keys = [
@@ -439,24 +448,88 @@ class TestKeyCaches:
             for i in range(core.PRELUDE_CACHE_SIZE + 8)
         ]
         data = bytes(rng.getrandbits(8) for _ in range(1100))  # two segments
+        first = prelude(keys[0])
         for key in keys:
             assert mac_bytes(key, data) == stepwise_mac(key, data)
-        assert core._e_table.cache_info().currsize == core.PRELUDE_CACHE_SIZE
-        misses = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
+        info = core._cached_prelude.cache_info()
+        assert info.currsize == core.PRELUDE_CACHE_SIZE
         assert mac_bytes(keys[0], data) == stepwise_mac(keys[0], data)
         assert mac(keys[0], unpack(data)) == stepwise_mac(keys[0], data)
-        after = core._cached_prelude.cache_info().misses, core._e_table.cache_info().misses
-        assert after == (misses[0] + 1, misses[1] + 1)
+        assert core._cached_prelude.cache_info().misses == info.misses + 1
+        rebuilt = prelude(keys[0])
+        assert rebuilt == first and rebuilt is not first
+        assert rebuilt.e_table == reference_e_table(rebuilt.v0, rebuilt.w)
 
     def test_e_table_is_an_immutable_tuple(self):
         pre = prelude(STANDARD_KEY)
-        table = core._e_table(pre.v0, pre.w)
+        table = pre.e_table
         assert type(table) is tuple
         assert len(table) >= 257 + 2  # a chained unit and its coda
         v = pre.v0
         for e in table:
             v = blocks.cyc(v)
             assert e == v ^ pre.w
+
+
+# Six working values with no 00 or FF byte and six with many.
+SIX_WORDS = [
+    (0x01234567, 0x89ABCDEF, 0x13579BDF, 0x2468ACE1, 0x0F1E2D3C, 0x4B5A6978),
+    (0, 0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x00FF00FF, 0xFF00FF00),
+]
+
+
+class TestKeySchedule:
+    """PreludeOutput carries its E table: stored by a cache miss, or built on first use."""
+
+    @given(mixed_keys)
+    def test_cached_prelude_keeps_one_table(self, key):
+        assert prelude(key).e_table is prelude(key).e_table
+
+    @pytest.mark.parametrize("six", SIX_WORDS)
+    def test_hand_built_prelude_builds_its_table(self, six):
+        pre = PreludeOutput(*six)
+        assert pre.e_table == reference_e_table(pre.v0, pre.w)
+        assert pre.e_table is pre.e_table
+
+    @pytest.mark.parametrize("six", SIX_WORDS)
+    def test_replace_builds_the_table_of_the_new_words(self, six):
+        pre = prelude(STANDARD_KEY)
+        moved = pre._replace(v0=six[2], w=six[3])
+        assert moved.e_table == reference_e_table(six[2], six[3])
+        assert pre.e_table == reference_e_table(pre.v0, pre.w)
+
+    @given(st.tuples(u32, u32, u32, u32, u32, u32), block_lists(257))
+    @settings(max_examples=50)
+    def test_process_segment_on_a_hand_built_prelude(self, six, unit):
+        pre = PreludeOutput(*six)
+        assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
+
+
+class TestPreludeOutputTuple:
+    """PreludeOutput stays a six-field named tuple, compared with plain 6-tuples."""
+
+    def test_fields(self):
+        assert PreludeOutput._fields == ("x0", "y0", "v0", "w", "s", "t")
+        assert len(prelude(STANDARD_KEY)) == 6
+
+    def test_repr(self):
+        assert repr(PreludeOutput(1, 2, 3, 4, 5, 6)) == "PreludeOutput(x0=1, y0=2, v0=3, w=4, s=5, t=6)"
+
+    @pytest.mark.parametrize("key", [STANDARD_KEY, Key(0, 0xFFFFFFFF)])
+    def test_equals_and_hashes_as_a_plain_tuple(self, key):
+        pre = prelude(key)
+        assert pre == tuple(pre) and tuple(pre) == pre
+        assert hash(pre) == hash(tuple(pre))
+        assert pre == PreludeOutput(*pre)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "hand-built"])
+    def test_pickle_round_trip(self, protocol, cached):
+        pre = prelude(STANDARD_KEY) if cached else PreludeOutput(*SIX_WORDS[1])
+        back = pickle.loads(pickle.dumps(pre, protocol))
+        assert type(back) is PreludeOutput
+        assert back == pre
+        assert back.e_table == reference_e_table(pre.v0, pre.w)
 
 
 class TestSegment:
