@@ -26,7 +26,7 @@ the eight byte positions were touched.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 MASK = 0xFFFFFFFF
 
@@ -48,10 +48,8 @@ if FIX1_SET & FIX1_KEEP != FIX1_SET or FIX2_SET & FIX2_KEEP != FIX2_SET:
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-class ConditioningResult(NamedTuple):
-    first: int
-    second: int
-    pattern: int  # one bit per byte position, MSB examined first
+# pattern: one bit per byte position, MSB examined first.
+ConditioningResult = namedtuple("ConditioningResult", "first second pattern")
 
 
 def cyc(x: int) -> int:
@@ -77,6 +75,8 @@ def fix2(x: int) -> int:
     return (x | FIX2_SET) & FIX2_KEEP
 
 
+# At any width w, the standard adds the halves of p = U * 2**w + L and feeds the carry back. As
+# 2**w = 1 (mod 2**w - 1), that keeps p's residue, in [0, 2**w - 1], and is 0 only if p == 0.
 def mul1(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 1 by end-around carry.
 
@@ -89,6 +89,8 @@ def mul1(x: int, y: int) -> int:
     return p % MASK or (p and MASK)
 
 
+# At any width w, 2**w = 2 (mod 2**w - 2), so each carry fed back as 2 keeps p's residue. No sum
+# wraps (U <= 2**w - 2, and U + U folded is even); U = 0 leaves p, and U > 0 leaves at least 2.
 def mul2(x: int, y: int) -> int:
     """Multiply modulo 2**32 - 2: carries fold back with weight two.
 
@@ -101,6 +103,8 @@ def mul2(x: int, y: int) -> int:
     return (p - 2) % (MASK - 1) + 2 if p > 1 else p
 
 
+# At any width w, an operand below 2**(w - 1) keeps p below 2**(2w - 1), so U < 2**(w - 1):
+# U + U has no carry, so mul2's stage for that carry adds nothing: both folds take the same steps.
 def mul2a(x: int, y: int) -> int:
     """Faster mul2 with one fewer folding stage.
 

@@ -36,9 +36,9 @@ import stat
 import struct
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext, suppress
 from itertools import chain
-from typing import BinaryIO, Iterator
 
 from . import core
 from .blocks import block_hex, is_hex, is_hex_word
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _hex_bytes(fh: BinaryIO) -> bytes:
+def _hex_bytes(fh: io.BufferedIOBase) -> bytes:
     """The bytes of hex text, whitespace ignored, counted as they are decoded.
 
     The text is UTF-8 in any locale.  Each 64 KiB read is decoded at once;
@@ -167,7 +167,7 @@ def _hex_bytes(fh: BinaryIO) -> bytes:
 
 
 @contextmanager
-def _input_stream(args) -> Iterator[BinaryIO]:
+def _input_stream(args) -> Iterator[io.BufferedIOBase]:
     """The input as a binary stream, open for the duration of the block.
 
     A regular file over the length cap is refused here, before it is read.
@@ -182,7 +182,7 @@ def _input_stream(args) -> Iterator[BinaryIO]:
         yield fh
 
 
-def _output(args) -> AbstractContextManager[BinaryIO]:
+def _output(args) -> AbstractContextManager[io.BufferedIOBase]:
     """The ``-o`` file, opened for writing, or stdout's bytes."""
     return open(args.output, "wb") if args.output is not None else nullcontext(sys.stdout.buffer)
 

@@ -45,9 +45,9 @@ from __future__ import annotations
 import io
 import struct
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence, Sized
 from functools import cached_property, lru_cache
 from itertools import chain, count, islice
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 from .blocks import (
     FIX1_KEEP,
@@ -83,9 +83,8 @@ class MessageTooLong(ValueError):
     """Raised for messages of MAX_MESSAGE_BLOCKS blocks or more."""
 
 
-class Key(NamedTuple):
-    first: int
-    second: int
+Key = namedtuple("Key", "first second")
+LoopState = namedtuple("LoopState", "x y v")
 
 
 class PreludeOutput(namedtuple("PreludeOutput", "x0 y0 v0 w s t")):
@@ -94,12 +93,6 @@ class PreludeOutput(namedtuple("PreludeOutput", "x0 y0 v0 w s t")):
     cache miss stores and a prelude built by hand or by _replace builds."""
 
     e_table = cached_property(lambda pre: _e_table(pre.v0, pre.w))
-
-
-class LoopState(NamedTuple):
-    x: int
-    y: int
-    v: int
 
 
 def _unpack_blocks(data: bytes) -> tuple[int, ...]:
@@ -286,7 +279,7 @@ def mac_bytes(key: Key, data: bytes) -> int:
     return _mac_stream(key, io.BytesIO(data))
 
 
-def _mac_stream(key: Key, stream: BinaryIO) -> int:
+def _mac_stream(key: Key, stream: io.BufferedIOBase) -> int:
     """The MAC of the bytes read from a binary stream, a segment at a time.
 
     Raises MessageTooLong once more than MAX_MESSAGE_BYTES bytes are read.
@@ -294,7 +287,7 @@ def _mac_stream(key: Key, stream: BinaryIO) -> int:
     return _chain_segments(prelude(key), _read_segments(stream))
 
 
-def _read_segments(stream: BinaryIO) -> Iterator[tuple[int, ...]]:
+def _read_segments(stream: io.BufferedIOBase) -> Iterator[tuple[int, ...]]:
     """The stream's blocks, one read per segment; no bytes is one empty segment.
 
     Cut by read size: flattening the reads for _segments costs 0.1 s more per 1M blocks.

@@ -88,25 +88,39 @@ def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
     assert imported.is_relative_to(SRC_PACKAGE), imported
 
 
-# Runs cli.main on its arguments, then prints whether the vector corpus was imported.
-IMPORTS_VECTORS = (
-    "import sys; from maa32 import cli; code = cli.main(sys.argv[1:]); "
-    "print(code, 'maa32.vectors' in sys.modules, file=sys.stderr)"
+# Each prints an exit code, then whether the vector corpus and typing were
+# imported: cli.main on its arguments, or mac_bytes as the benchmark's set-up
+# probe calls it.
+REPORT_IMPORTS = (
+    "print(code, 'maa32.vectors' in sys.modules, 'typing' in sys.modules, file=sys.stderr)"
+)
+MAIN_IMPORTS = "import sys; from maa32 import cli; code = cli.main(sys.argv[1:]); " + REPORT_IMPORTS
+MAC_BYTES_IMPORTS = (
+    "import sys, maa32; maa32.mac_bytes(maa32.Key(1, 2), b'abc'); code = 0; " + REPORT_IMPORTS
 )
 
 
 def test_mac_commands_do_not_import_the_vector_corpus(tmp_path):
-    # Every command but selftest: trace takes its engine from core too.
+    # Every command but selftest: trace takes its engine from core too.  No
+    # runtime path imports typing either.  The child runs under -S, so that
+    # no site .pth file imports typing before the package does.
     (tmp_path / "m.bin").write_bytes(b"abcdefgh")
-    for argv, code in [(["mac"], 0), (["verify", "--mac", "00000000"], 1), (["trace"], 0)]:
+    input_args = ["--key", KEY, "m.bin"]
+    runs = [
+        (MAIN_IMPORTS, ["mac", *input_args], 0),
+        (MAIN_IMPORTS, ["verify", "--mac", "00000000", *input_args], 1),
+        (MAIN_IMPORTS, ["trace", *input_args], 0),
+        (MAC_BYTES_IMPORTS, [], 0),
+    ]
+    for snippet, argv, exit_code in runs:
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORTS_VECTORS, *argv, "--key", KEY, "m.bin"],
+            [sys.executable, "-S", "-c", snippet, *argv],
             capture_output=True,
             cwd=tmp_path,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == b"%d False" % code, (argv, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == b"%d False False" % exit_code, (argv, proc.stderr)
 
 
 def test_cli_module_runs_main_as_a_script():

@@ -1,5 +1,6 @@
 """Key expansion, the block loop, segmentation, and the MAC itself."""
 
+import importlib
 import io
 import pickle
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import spec_model as model
 from maa32 import blocks, core
+from maa32.blocks import ConditioningResult
 from maa32.core import (
     MAX_MESSAGE_BLOCKS,
     MAX_MESSAGE_BYTES,
@@ -505,15 +507,65 @@ class TestKeySchedule:
         assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
 
 
+# Each record type, its defining module, and the repr of the record 1, 2, ...
+RECORDS = [
+    (Key, "maa32.core", "Key(first=1, second=2)"),
+    (LoopState, "maa32.core", "LoopState(x=1, y=2, v=3)"),
+    (ConditioningResult, "maa32.blocks", "ConditioningResult(first=1, second=2, pattern=3)"),
+    (PreludeOutput, "maa32.core", "PreludeOutput(x0=1, y0=2, v0=3, w=4, s=5, t=6)"),
+]
+records = pytest.mark.parametrize(
+    "cls, module, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+
+
+def numbered(cls):
+    """The record 1, 2, ... of cls, and its values as a plain tuple."""
+    values = tuple(range(1, len(cls._fields) + 1))
+    return cls(*values), values
+
+
 class TestPreludeOutputTuple:
-    """PreludeOutput stays a six-field named tuple, compared with plain 6-tuples."""
+    """PreludeOutput stays a six-field named tuple, compared with plain 6-tuples.
 
-    def test_fields(self):
-        assert PreludeOutput._fields == ("x0", "y0", "v0", "w", "s", "t")
-        assert len(prelude(STANDARD_KEY)) == 6
+    Key, LoopState and ConditioningResult keep the same record contract.
+    """
 
-    def test_repr(self):
-        assert repr(PreludeOutput(1, 2, 3, 4, 5, 6)) == "PreludeOutput(x0=1, y0=2, v0=3, w=4, s=5, t=6)"
+    @records
+    def test_record_fields_and_repr(self, cls, module, text):
+        record, values = numbered(cls)
+        assert repr(record) == text
+        fields = ", ".join("%s=%d" % pair for pair in zip(cls._fields, values))
+        assert text == "%s(%s)" % (cls.__name__, fields)
+        assert cls(**record._asdict()) == record
+
+    @records
+    def test_record_equals_and_hashes_as_a_plain_tuple(self, cls, module, text):
+        record, values = numbered(cls)
+        assert record == values and values == record
+        assert hash(record) == hash(values)
+        assert record != values[::-1]
+
+    @records
+    def test_record_replace(self, cls, module, text):
+        record, values = numbered(cls)
+        moved = record._replace(**{cls._fields[-1]: 0})
+        assert type(moved) is cls
+        assert moved == (*values[:-1], 0)
+        assert record == values
+
+    @records
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_record_pickle_round_trip(self, cls, module, text, protocol):
+        record, _ = numbered(cls)
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls
+        assert back == record
+
+    @records
+    def test_record_module(self, cls, module, text):
+        assert cls.__module__ == module
+        assert getattr(importlib.import_module(module), cls.__name__) is cls
 
     @pytest.mark.parametrize("key", [STANDARD_KEY, Key(0, 0xFFFFFFFF)])
     def test_equals_and_hashes_as_a_plain_tuple(self, key):
