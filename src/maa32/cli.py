@@ -44,8 +44,6 @@ from . import core
 from .blocks import block_hex, is_hex, is_hex_word
 from .core import Key, MessageTooLong
 
-_STANDARD_BENCH_KEY = Key(0xE6A12F07, 0x9D15C437)
-
 
 def _key_argument(text: str) -> Key:
     parts = text.split(":")
@@ -265,7 +263,7 @@ def _cmd_bench(args) -> int:
     # at a time; the mac interface's checks and length cap do not apply to
     # a throughput measurement.
     segments = core._message_segments(args.blocks)
-    pre = core.prelude(_STANDARD_BENCH_KEY)
+    pre = core.prelude(core._STANDARD_KEY)
     start = time.perf_counter()
     value = core._chain_segments(pre, segments)
     elapsed = time.perf_counter() - start

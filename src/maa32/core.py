@@ -75,9 +75,6 @@ MAX_MESSAGE_BYTES = 4 * (MAX_MESSAGE_BLOCKS - 1)
 # once in many-message traffic; a key beyond it costs one expansion per miss.
 PRELUDE_CACHE_SIZE = 64
 
-# Block i (1-based) of the deterministic test-message generator.
-_GEN_STEP = 0x9E3779B9
-
 
 class MessageTooLong(ValueError):
     """Raised for messages of MAX_MESSAGE_BLOCKS blocks or more."""
@@ -85,6 +82,11 @@ class MessageTooLong(ValueError):
 
 Key = namedtuple("Key", "first second")
 LoopState = namedtuple("LoopState", "x y v")
+
+# The deterministic test message (block i, 1-based, is i * _GEN_STEP mod
+# 2**32) and the key that the builtin corpus and bench use with it.
+_GEN_STEP = 0x9E3779B9
+_STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
 
 
 class PreludeOutput(namedtuple("PreludeOutput", "x0 y0 v0 w s t")):

@@ -45,14 +45,15 @@ from __future__ import annotations
 
 import io
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import BinaryIO, Iterable, Iterator, Union
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
 from .core import (
     Key,
     MessageTooLong,
+    _STANDARD_KEY,
     _block_segments,
     _check_block_count,
     _message_blocks,
@@ -104,7 +105,7 @@ class Repeated:
     count: int
 
 
-MessageSource = Union[InlineHex, FileRef, Generated, Repeated]
+MessageSource = InlineHex | FileRef | Generated | Repeated
 
 
 class _MissingFile(Exception):
@@ -179,7 +180,7 @@ class ExpectTrace:
     path: str | None = None
 
 
-Expectation = Union[ExpectMac, ExpectPrelude, ExpectConditioning, ExpectTrace]
+Expectation = ExpectMac | ExpectPrelude | ExpectConditioning | ExpectTrace
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,6 @@ def emit_trace(key: Key, message: Iterable[int]) -> MacTrace:
 # ---------------------------------------------------------------------------
 # builtin corpus
 
-_STANDARD_KEY = Key(0xE6A12F07, 0x9D15C437)
 _DEGENERATE_KEY = Key(0x00000100, 0x00000080)
 
 # Conditioning answers published with the algorithm's test data.
@@ -406,7 +406,7 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
     return VectorResult(case.name, STATUS_FAIL, "unknown expectation: %r" % (expect,))
 
 
-def _golden(expect: ExpectTrace, base_dir: str) -> BinaryIO:
+def _golden(expect: ExpectTrace, base_dir: str) -> io.BufferedIOBase:
     """The golden trace as bytes: inline text in ASCII with escapes, a file as stored."""
     if expect.text is not None:
         return io.BytesIO(expect.text.encode("ascii", "backslashreplace"))

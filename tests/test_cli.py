@@ -101,26 +101,31 @@ MAC_BYTES_IMPORTS = (
 
 
 def test_mac_commands_do_not_import_the_vector_corpus(tmp_path):
-    # Every command but selftest: trace takes its engine from core too.  No
-    # runtime path imports typing either.  The child runs under -S, so that
-    # no site .pth file imports typing before the package does.
+    # Every command but selftest: trace takes its engine from core too, from
+    # a file and from standard input.  No runtime path imports typing
+    # either, selftest's included.  The child runs under -S, so that no site
+    # .pth file imports typing before the package does.
     (tmp_path / "m.bin").write_bytes(b"abcdefgh")
     input_args = ["--key", KEY, "m.bin"]
     runs = [
-        (MAIN_IMPORTS, ["mac", *input_args], 0),
-        (MAIN_IMPORTS, ["verify", "--mac", "00000000", *input_args], 1),
-        (MAIN_IMPORTS, ["trace", *input_args], 0),
-        (MAC_BYTES_IMPORTS, [], 0),
+        (MAIN_IMPORTS, ["mac", *input_args], b"", b"0 False False"),
+        (MAIN_IMPORTS, ["verify", "--mac", "00000000", *input_args], b"", b"1 False False"),
+        (MAIN_IMPORTS, ["trace", *input_args], b"", b"0 False False"),
+        (MAIN_IMPORTS, ["trace", "--key", KEY, "-"], blocks_to_bytes(make_message(3)),
+         b"0 False False"),
+        (MAIN_IMPORTS, ["selftest"], b"", b"0 True False"),
+        (MAC_BYTES_IMPORTS, [], b"", b"0 False False"),
     ]
-    for snippet, argv, exit_code in runs:
+    for snippet, argv, stdin, report in runs:
         proc = subprocess.run(
             [sys.executable, "-S", "-c", snippet, *argv],
+            input=stdin,
             capture_output=True,
             cwd=tmp_path,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == b"%d False False" % exit_code, (argv, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == report, (argv, proc.stderr)
 
 
 def test_cli_module_runs_main_as_a_script():
