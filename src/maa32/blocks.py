@@ -24,8 +24,6 @@ FF inside a pair of blocks and returns a pattern byte recording which of
 the eight byte positions were touched.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 MASK = 0xFFFFFFFF
@@ -37,12 +35,6 @@ FIX1_SET = 0x02040801
 FIX2_SET = 0x00804021
 FIX1_KEEP = 0xBFEF7FDF
 FIX2_KEEP = 0x7DFEFBFF
-
-# The set bits must survive the keep mask, otherwise fix1/fix2 could not
-# guarantee a nonzero result.  Checked at import because everything else
-# leans on it.
-if FIX1_SET & FIX1_KEEP != FIX1_SET or FIX2_SET & FIX2_KEEP != FIX2_SET:
-    raise AssertionError("fix mask constants are inconsistent")
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")

@@ -26,8 +26,6 @@ The vector corpus (``vectors``) is imported only by ``selftest``, so that
 the other commands start without building it.
 """
 
-from __future__ import annotations
-
 import argparse
 import codecs
 import io

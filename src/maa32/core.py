@@ -40,8 +40,6 @@ sources check and cap the input themselves, so the MAC and the tracer get
 the same checks; the generator's blocks are unchecked and uncapped.
 """
 
-from __future__ import annotations
-
 import io
 import struct
 from collections import namedtuple
@@ -344,12 +342,14 @@ def trace_lines(pre: PreludeOutput, segments: Iterable[Sequence[int]]) -> Iterat
 
 
 def _block_segments(message: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Checked blocks of message, cut by _segments.
+    """Checked blocks of message, cut by _segments; bytes-like input is refused.
 
     Raises MessageTooLong before the first segment for a sized message of
     MAX_MESSAGE_BLOCKS blocks or more, and for any other once the
     millionth block is consumed; no block past it is read.
     """
+    if isinstance(message, (bytes, bytearray, memoryview)):
+        raise ValueError("message is bytes-like; use mac_bytes to authenticate bytes")
     if isinstance(message, Sized):
         _check_block_count(len(message))
     count = 0

@@ -41,8 +41,7 @@ against its golden a line at a time and compares bytes, line ends
 included: a CRLF golden FAILs.
 """
 
-from __future__ import annotations
-
+import errno
 import io
 import os
 from collections.abc import Iterable, Iterator
@@ -108,17 +107,11 @@ class Repeated:
 MessageSource = InlineHex | FileRef | Generated | Repeated
 
 
-class _MissingFile(Exception):
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.path = path
-
-
 def _existing_path(path: str, base_dir: str) -> str:
-    """path against base_dir (an absolute path stays as is); _MissingFile if absent."""
+    """path against base_dir (an absolute path stays as is); FileNotFoundError(path) if absent."""
     full = os.path.join(base_dir, path)
     if not os.path.exists(full):
-        raise _MissingFile(path)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     return full
 
 
@@ -141,14 +134,9 @@ def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
         yield from chain.from_iterable(_read_segments(io.BytesIO(source.data)))
     elif isinstance(source, Generated):
         yield from _message_blocks(source.n_blocks)
-    elif isinstance(source, Repeated):
-        for _ in range(source.count):
-            blocks = _source_blocks(source.inner, base_dir)
-            first = next(blocks, None)
-            if first is None:
-                return  # an empty message repeats to an empty message
-            yield first
-            yield from blocks
+    elif isinstance(source, Repeated) and _source_length(source.inner, base_dir):
+        for _ in range(source.count):  # count is uncapped when the inner source is empty
+            yield from _source_blocks(source.inner, base_dir)
     elif isinstance(source, FileRef):
         with open(_existing_path(source.path, base_dir), "rb") as fh:
             yield from chain.from_iterable(_read_segments(fh))
@@ -368,8 +356,8 @@ def run_vectors(cases: Iterable[VectorCase], base_dir: str = ".") -> VectorRepor
 def _run_one(case: VectorCase, base_dir: str) -> VectorResult:
     try:
         return _evaluate(case, base_dir)
-    except _MissingFile as miss:
-        return VectorResult(case.name, STATUS_SKIP, "missing file: %s" % miss.path)
+    except FileNotFoundError as miss:
+        return VectorResult(case.name, STATUS_SKIP, "missing file: %s" % miss.filename)
     except MessageTooLong as err:
         return VectorResult(case.name, STATUS_FAIL, str(err))
 
@@ -458,8 +446,8 @@ def parse_vector_text(text: str, source_name: str = "<string>") -> list[VectorCa
 
 
 def parse_vector_file(path: str) -> list[VectorCase]:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        return parse_vector_text(fh.read(), source_name=path)
+    with open(path, "r", encoding="utf-8") as fh:  # a BOM is dropped, a cut one refused
+        return parse_vector_text(fh.read().removeprefix("\ufeff"), source_name=path)
 
 
 def _word(token: str) -> int:

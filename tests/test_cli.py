@@ -152,6 +152,12 @@ def test_package_ships_only_runtime_modules():
     assert names == {"__main__", "blocks", "cli", "core", "vectors"}
 
 
+def test_package_stays_under_its_line_ceiling():
+    # ROADMAP.md's ceiling ("Standing constraints"), counted as `cat src/maa32/*.py | wc -l` does.
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC_PACKAGE.glob("*.py"))
+    assert lines <= 1550
+
+
 class TestMacCommand:
     def test_stdout_is_exactly_the_mac_line(self):
         data = b"abcdefgh"
@@ -522,6 +528,15 @@ class TestSelftestCommand:
         code, out, err = run_main("selftest", "--vectors", str(bad))
         assert (code, out) == (2, b"")
         assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte 0xe9" % bad)
+
+    @pytest.mark.parametrize("cut", [BOM[:1], BOM[:2]])
+    def test_vector_file_of_a_cut_byte_order_mark_is_not_utf8(self, tmp_path, cut):
+        path = tmp_path / "cut.mvt"
+        path.write_bytes(cut)
+        code, out, err = run_main("selftest", "--vectors", str(path))
+        assert (code, out) == (2, b"")
+        assert err.startswith("cannot read %s: 'utf-8' codec can't decode" % path)
+        assert err.endswith(": unexpected end of data\n")
 
     @pytest.mark.parametrize(
         "n_blocks,text,where",

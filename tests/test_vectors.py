@@ -224,9 +224,9 @@ class TestLazySources:
     @pytest.mark.parametrize(
         "inner,reads",
         [
-            (InlineHex(b""), 1),
-            (FileRef("empty.bin"), 1),
-            (Generated(0), 1),
+            (InlineHex(b""), 0),
+            (FileRef("empty.bin"), 0),
+            (Generated(0), 0),
             (Generated(1), 1000),
             (InlineHex(b"\x01"), 1000),
         ],
@@ -337,6 +337,17 @@ class TestTrace:
             emit_trace(STANDARD_KEY, [bad])
         assert type(from_trace.value) is type(from_mac.value)
         assert str(from_trace.value) == str(from_mac.value)
+
+    @pytest.mark.parametrize("function", [mac, emit_trace])
+    @pytest.mark.parametrize(
+        "message",
+        [b"hello", bytearray(b"hello"), memoryview(b"hello")],
+        ids=["bytes", "bytearray", "memoryview"],
+    )
+    def test_refuses_a_bytes_like_message(self, function, message):
+        # Iterating bytes gives ints, so these would pass as the blocks 0x68, 0x65, ...
+        with pytest.raises(ValueError, match="use mac_bytes"):
+            function(STANDARD_KEY, message)
 
     @pytest.mark.parametrize("as_iterator", [False, True])
     def test_overlong_message_refused_before_any_step(self, monkeypatch, as_iterator):
@@ -502,6 +513,13 @@ class TestParser:
         path.write_bytes(b"\xef\xbb\xbf" + body.encode())
         assert parse_vector_file(str(path)) == parse_vector_text(body)
 
+    @pytest.mark.parametrize("cut", [b"\xef", b"\xef\xbb"])
+    def test_cut_byte_order_mark_is_not_utf8(self, tmp_path, cut):
+        path = tmp_path / "cut.mvt"
+        path.write_bytes(cut)
+        with pytest.raises(UnicodeDecodeError, match="unexpected end of data"):
+            parse_vector_file(str(path))
+
     def test_byte_order_mark_is_dropped_only_at_the_start(self, tmp_path):
         path = tmp_path / "bom.mvt"
         path.write_bytes(b"# fine\n\xef\xbb\xbfCASE bom\n")
@@ -655,6 +673,27 @@ class TestRunner:
         (result,) = run_vectors([case], base_dir=str(tmp_path)).results
         assert result.status == vectors.STATUS_SKIP
         assert result.detail.startswith("missing file: nope.")
+
+    @pytest.mark.parametrize(
+        "key,source,expect,detail",
+        [
+            (None, Generated(1), ExpectMac(0), "case has no key"),
+            (STANDARD_KEY, None, ExpectMac(0), "case has no message"),
+            (STANDARD_KEY, None, ExpectTrace("MAC=00000000\n"), "case has no message"),
+            (STANDARD_KEY, Generated(1), "EXPECT-MAC 0", "unknown expectation: 'EXPECT-MAC 0'"),
+            (STANDARD_KEY, [0], ExpectMac(0), TypeError),
+        ],
+        ids=["no-key", "mac-no-message", "trace-no-message", "unknown-expect", "unknown-source"],
+    )
+    def test_hand_built_case_guards(self, key, source, expect, detail):
+        # Cases the parser cannot produce: each FAILs, but a source of an unknown type raises.
+        case = VectorCase("hand-built", key, source, expect)
+        if detail is TypeError:
+            with pytest.raises(TypeError, match=r"unknown message source: \[0\]"):
+                run_vectors([case])
+            return
+        (result,) = run_vectors([case]).results
+        assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
 
     def test_too_long_message_is_a_failure_not_a_crash(self, tmp_path):
         case = VectorCase(
