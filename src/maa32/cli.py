@@ -6,11 +6,12 @@ corpus plus optional vector files), ``bench`` (throughput of generating and
 chaining a test message) and ``gen`` (write deterministic test messages).
 
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
-or I/O errors (a full or closed stdout included), 3 message too long, 4
-selftest or vector failure.  ``main`` owns the standard streams: it refuses
-a closed stdout before reading any input, unless the command writes none;
-only ``_report`` writes stderr, and a closed or full stderr never changes
-the exit code, argparse's exits included.
+or I/O errors (a full or closed stdout and a closed stdin included), 3
+message too long, 4 selftest or vector failure.  ``main`` owns the
+standard streams: before reading any input it refuses a closed stdout,
+unless the command writes none, then a closed stdin if the input is
+``-``; only ``_report`` writes stderr, and a closed or full stderr never
+changes the exit code, argparse's exits included.
 
 Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 256-block segment at a time, so arbitrarily large files run in constant
@@ -222,8 +223,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from dataclasses import replace
-
     from . import vectors
 
     builtin = vectors.builtin_corpus()
@@ -232,7 +231,7 @@ def _cmd_selftest(args) -> int:
             if isinstance(case.expect, vectors.ExpectMac):
                 name = case.name + " (fault injected)"
                 expect = vectors.ExpectMac(case.expect.value ^ 1)
-                builtin[i] = replace(case, name=name, expect=expect)
+                builtin[i] = case._replace(name=name, expect=expect)
                 break
     groups = [(builtin, args.data_dir)]
     for path in args.vectors:
@@ -298,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         writes_stdout = args.command != "verify" and getattr(args, "output", None) is None
         if writes_stdout and sys.stdout is None:
             return _report("standard output is closed", 2)
+        if getattr(args, "input", None) == "-" and sys.stdin is None:
+            return _report("standard input is closed", 2)
         code = _COMMANDS[args.command](args)
         if sys.stdout is not None:  # a full or broken stdout fails here
             sys.stdout.flush()

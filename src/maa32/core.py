@@ -273,9 +273,9 @@ def mac_bytes(key: Key, data: bytes) -> int:
     """Authenticate bytes, zero-filled to a block boundary.
 
     Raises MessageTooLong before any other work for more than
-    MAX_MESSAGE_BYTES bytes.
+    MAX_MESSAGE_BYTES bytes, however many items a bytes-like data holds.
     """
-    _check_byte_count(len(data))
+    _check_byte_count(memoryview(data).nbytes)
     return _mac_stream(key, io.BytesIO(data))
 
 

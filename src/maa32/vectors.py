@@ -44,8 +44,8 @@ included: a CRLF golden FAILs.
 import errno
 import io
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, zip_longest
 
 from .blocks import ConditioningResult, block_hex, byt_pat, is_hex, is_hex_word
@@ -83,27 +83,10 @@ class VectorFormatError(ValueError):
 # message sources
 
 
-@dataclass(frozen=True)
-class InlineHex:
-    data: bytes
-
-
-@dataclass(frozen=True)
-class FileRef:
-    path: str
-
-
-@dataclass(frozen=True)
-class Generated:
-    n_blocks: int
-
-
-@dataclass(frozen=True)
-class Repeated:
-    inner: "MessageSource"
-    count: int
-
-
+InlineHex = namedtuple("InlineHex", "data")
+FileRef = namedtuple("FileRef", "path")
+Generated = namedtuple("Generated", "n_blocks")
+Repeated = namedtuple("Repeated", "inner count")  # inner: a message source
 MessageSource = InlineHex | FileRef | Generated | Repeated
 
 
@@ -146,49 +129,21 @@ def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
 # expectations
 
 
-@dataclass(frozen=True)
-class ExpectMac:
-    value: int
-
-
-@dataclass(frozen=True)
-class ExpectPrelude:
-    values: tuple[int, int, int, int, int, int]
-
-
-@dataclass(frozen=True)
-class ExpectConditioning:
-    inputs: tuple[int, int]
-    result: ConditioningResult
-
-
-@dataclass(frozen=True)
-class ExpectTrace:
-    text: str | None = None
-    path: str | None = None
-
-
+ExpectMac = namedtuple("ExpectMac", "value")
+ExpectPrelude = namedtuple("ExpectPrelude", "values")  # the six words X0 Y0 V0 W S T
+# inputs: the pair of blocks byt_pat conditions.
+ExpectConditioning = namedtuple("ExpectConditioning", "inputs result")
+# text: the golden trace inline; path: its file, read when text is None.
+ExpectTrace = namedtuple("ExpectTrace", "text path", defaults=(None, None))
 Expectation = ExpectMac | ExpectPrelude | ExpectConditioning | ExpectTrace
 
-
-@dataclass(frozen=True)
-class VectorCase:
-    name: str
-    key: Key | None
-    source: MessageSource | None
-    expect: Expectation
+# key and source are each None when the expectation takes none.
+VectorCase = namedtuple("VectorCase", "name key source expect")
+VectorResult = namedtuple("VectorResult", "name status detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class VectorResult:
-    name: str
-    status: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VectorReport:
-    results: tuple[VectorResult, ...]
+class VectorReport(namedtuple("VectorReport", "results")):
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -211,10 +166,8 @@ class VectorReport:
 # traces
 
 
-@dataclass(frozen=True)
-class MacTrace:
-    text: str
-    mac: int
+class MacTrace(namedtuple("MacTrace", "text mac")):
+    __slots__ = ()
 
     def render(self) -> str:
         return self.text

@@ -88,11 +88,12 @@ def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
     assert imported.is_relative_to(SRC_PACKAGE), imported
 
 
-# Each prints an exit code, then whether the vector corpus and typing were
-# imported: cli.main on its arguments, or mac_bytes as the benchmark's set-up
-# probe calls it.
+# Each prints an exit code, then whether the vector corpus, typing and
+# dataclasses were imported: cli.main on its arguments, or mac_bytes as the
+# benchmark's set-up probe calls it.
 REPORT_IMPORTS = (
-    "print(code, 'maa32.vectors' in sys.modules, 'typing' in sys.modules, file=sys.stderr)"
+    "print(code, 'maa32.vectors' in sys.modules, 'typing' in sys.modules, "
+    "'dataclasses' in sys.modules, file=sys.stderr)"
 )
 MAIN_IMPORTS = "import sys; from maa32 import cli; code = cli.main(sys.argv[1:]); " + REPORT_IMPORTS
 MAC_BYTES_IMPORTS = (
@@ -102,19 +103,19 @@ MAC_BYTES_IMPORTS = (
 
 def test_mac_commands_do_not_import_the_vector_corpus(tmp_path):
     # Every command but selftest: trace takes its engine from core too, from
-    # a file and from standard input.  No runtime path imports typing
-    # either, selftest's included.  The child runs under -S, so that no site
-    # .pth file imports typing before the package does.
+    # a file and from standard input.  No runtime path imports typing or
+    # dataclasses either, selftest's included.  The child runs under -S, so
+    # that no site .pth file imports them before the package does.
     (tmp_path / "m.bin").write_bytes(b"abcdefgh")
     input_args = ["--key", KEY, "m.bin"]
     runs = [
-        (MAIN_IMPORTS, ["mac", *input_args], b"", b"0 False False"),
-        (MAIN_IMPORTS, ["verify", "--mac", "00000000", *input_args], b"", b"1 False False"),
-        (MAIN_IMPORTS, ["trace", *input_args], b"", b"0 False False"),
+        (MAIN_IMPORTS, ["mac", *input_args], b"", b"0 False False False"),
+        (MAIN_IMPORTS, ["verify", "--mac", "00000000", *input_args], b"", b"1 False False False"),
+        (MAIN_IMPORTS, ["trace", *input_args], b"", b"0 False False False"),
         (MAIN_IMPORTS, ["trace", "--key", KEY, "-"], blocks_to_bytes(make_message(3)),
-         b"0 False False"),
-        (MAIN_IMPORTS, ["selftest"], b"", b"0 True False"),
-        (MAC_BYTES_IMPORTS, [], b"", b"0 False False"),
+         b"0 False False False"),
+        (MAIN_IMPORTS, ["selftest"], b"", b"0 True False False"),
+        (MAC_BYTES_IMPORTS, [], b"", b"0 False False False"),
     ]
     for snippet, argv, stdin, report in runs:
         proc = subprocess.run(
@@ -863,6 +864,23 @@ def test_closed_stdout_is_refused_before_the_input_is_read(tmp_path):
     proc = run_cli_redirected(">&-", "mac", "--key", KEY, "missing.bin", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == b"standard output is closed\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mac", "--key", KEY],
+        ["verify", "--key", KEY, "--mac", "00000000", "-"],
+        ["trace", "--key", KEY],
+        ["mac", "--key", KEY, "--hex", "-"],
+    ],
+    ids=["mac", "verify", "trace", "hex"],
+)
+def test_closed_stdin_exits_2_with_one_line(tmp_path, argv):
+    proc = run_cli_redirected("<&-", *argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == b"standard input is closed\n"
+    assert proc.stdout == b""
 
 
 class TestTextOnlyStreams:

@@ -4,13 +4,14 @@ import importlib
 import io
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spec_model as model
-from maa32 import blocks, core
+from maa32 import blocks, core, vectors
 from maa32.blocks import ConditioningResult
 from maa32.core import (
     MAX_MESSAGE_BLOCKS,
@@ -513,6 +514,18 @@ RECORDS = [
     (LoopState, "maa32.core", "LoopState(x=1, y=2, v=3)"),
     (ConditioningResult, "maa32.blocks", "ConditioningResult(first=1, second=2, pattern=3)"),
     (PreludeOutput, "maa32.core", "PreludeOutput(x0=1, y0=2, v0=3, w=4, s=5, t=6)"),
+    (vectors.InlineHex, "maa32.vectors", "InlineHex(data=1)"),
+    (vectors.FileRef, "maa32.vectors", "FileRef(path=1)"),
+    (vectors.Generated, "maa32.vectors", "Generated(n_blocks=1)"),
+    (vectors.Repeated, "maa32.vectors", "Repeated(inner=1, count=2)"),
+    (vectors.ExpectMac, "maa32.vectors", "ExpectMac(value=1)"),
+    (vectors.ExpectPrelude, "maa32.vectors", "ExpectPrelude(values=1)"),
+    (vectors.ExpectConditioning, "maa32.vectors", "ExpectConditioning(inputs=1, result=2)"),
+    (vectors.ExpectTrace, "maa32.vectors", "ExpectTrace(text=1, path=2)"),
+    (vectors.VectorCase, "maa32.vectors", "VectorCase(name=1, key=2, source=3, expect=4)"),
+    (vectors.VectorResult, "maa32.vectors", "VectorResult(name=1, status=2, detail=3)"),
+    (vectors.VectorReport, "maa32.vectors", "VectorReport(results=1)"),
+    (vectors.MacTrace, "maa32.vectors", "MacTrace(text=1, mac=2)"),
 ]
 records = pytest.mark.parametrize(
     "cls, module, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
@@ -528,7 +541,8 @@ def numbered(cls):
 class TestPreludeOutputTuple:
     """PreludeOutput stays a six-field named tuple, compared with plain 6-tuples.
 
-    Key, LoopState and ConditioningResult keep the same record contract.
+    Key, LoopState, ConditioningResult and the twelve vector records keep
+    the same record contract.
     """
 
     @records
@@ -544,7 +558,8 @@ class TestPreludeOutputTuple:
         record, values = numbered(cls)
         assert record == values and values == record
         assert hash(record) == hash(values)
-        assert record != values[::-1]
+        if len(values) > 1:  # a one-field record has no other order
+            assert record != values[::-1]
 
     @records
     def test_record_replace(self, cls, module, text):
@@ -698,6 +713,13 @@ class TestMac:
         # The refusal comes before the key is expanded.
         with pytest.raises(MessageTooLong):
             mac_bytes(Key(1.0, 2), bytes(MAX_MESSAGE_BYTES + 1))
+        # Counted in bytes, not items: 600,000 eight-byte items are 4,800,000 bytes.
+        with pytest.raises(MessageTooLong, match="message has 4800000 bytes"):
+            mac_bytes(Key(1.0, 2), array("Q", bytes(4_800_000)))
+
+    def test_multibyte_items_are_authenticated_as_their_bytes(self):
+        data = bytes(range(256)) * 5
+        assert mac_bytes(STANDARD_KEY, memoryview(data).cast("Q")) == mac_bytes(STANDARD_KEY, data)
 
     def test_key_sensitivity(self):
         msg = make_message(10)
