@@ -171,8 +171,8 @@ def prelude(key: Key) -> PreludeOutput:
 
 @lru_cache(maxsize=PRELUDE_CACHE_SIZE, typed=True)
 def _cached_prelude(j: int, k: int) -> PreludeOutput:
-    _validate_block(j)
-    _validate_block(k)
+    _validate_block(j, "key word")
+    _validate_block(k, "key word")
     j, k, p = byt_pat(j, k)
     h4, h5, h6, h7, h8, h9 = _expand(j, k, (1 + p) ** 2)
     # All 24 bytes are tested at once; byt_pat leaves a clean pair as it is.
@@ -376,8 +376,8 @@ def _check_byte_count(n_bytes: int) -> None:
         )
 
 
-def _validate_block(value: int) -> None:
+def _validate_block(value: int, noun: str = "block") -> None:
     if type(value) is not int:
-        raise ValueError("block is not an int: %r" % (value,))
+        raise ValueError("%s is not an int: %r" % (noun, value))
     if not 0 <= value <= MASK:
-        raise ValueError("block out of 32-bit range: %r" % (value,))
+        raise ValueError("%s out of 32-bit range: %r" % (noun, value))

@@ -25,9 +25,9 @@ ends (no expectation, no key, odd MSGHEX data, ...) is reported at the line
 that ended it, which at end of input is the text's last line, blank and
 comment lines included.
 
-Relative paths resolve against the directory given to ``run_vectors``; a
-referenced file that does not exist makes the case SKIPPED, not failed,
-which is how optional externally-supplied suites are gated in.
+Relative paths resolve against the directory given to ``run_vectors``.  A
+referenced file that does not exist SKIPs the case, which is how optional
+external suites are gated in; one that cannot be read FAILs it.
 
 The runner runs a case in one pass over its message.  Every message
 source knows its length before any block is made (a file by its size), so
@@ -38,7 +38,8 @@ checked, and capped once more, by ``mac``'s segment source.
 
 A trace case streams ``core.trace_lines`` (which describes the format)
 against its golden a line at a time and compares bytes, line ends
-included: a CRLF golden FAILs.
+included: a CRLF golden FAILs, and so does a golden line that is not
+ASCII, at that line, its non-ASCII bytes shown as ``\\xNN``.
 """
 
 import errno
@@ -135,7 +136,6 @@ ExpectPrelude = namedtuple("ExpectPrelude", "values")  # the six words X0 Y0 V0 
 ExpectConditioning = namedtuple("ExpectConditioning", "inputs result")
 # text: the golden trace inline; path: its file, read when text is None.
 ExpectTrace = namedtuple("ExpectTrace", "text path", defaults=(None, None))
-Expectation = ExpectMac | ExpectPrelude | ExpectConditioning | ExpectTrace
 
 # key and source are each None when the expectation takes none.
 VectorCase = namedtuple("VectorCase", "name key source expect")
@@ -311,7 +311,7 @@ def _run_one(case: VectorCase, base_dir: str) -> VectorResult:
         return _evaluate(case, base_dir)
     except FileNotFoundError as miss:
         return VectorResult(case.name, STATUS_SKIP, "missing file: %s" % miss.filename)
-    except MessageTooLong as err:
+    except (MessageTooLong, OSError) as err:  # OSError: a file that exists but cannot be read
         return VectorResult(case.name, STATUS_FAIL, str(err))
 
 
@@ -326,15 +326,7 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
     if case.source is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no message")
     if isinstance(expect, ExpectTrace):
-        # Before sizing: a missing golden SKIPs, a non-ASCII one is an error wherever it diverges.
-        with _golden(expect, base_dir) as golden:
-            for n, line in enumerate(golden, 1):
-                try:
-                    line.decode("ascii")
-                except UnicodeDecodeError as err:
-                    message = "cannot read %s: %s, line %d" % (golden.name, err, n)
-                    raise ValueError(message) from None
-            golden.seek(0)
+        with _golden(expect, base_dir) as golden:  # before sizing: a missing golden SKIPs
             _check_block_count(_source_length(case.source, base_dir))
             blocks = _source_blocks(case.source, base_dir)
             lines = trace_lines(prelude(case.key), _block_segments(blocks))
@@ -378,8 +370,9 @@ def _first_divergence(computed: Iterator[bytes], expected: Iterator[bytes]) -> s
                 n - 1 + bool(got) + sum(1 for _ in computed),
                 n - 1 + bool(want) + sum(1 for _ in expected),
             )
-        if got != want:
-            return "trace line %d: computed=%r expected=%r" % (n, got.decode(), want.decode())
+        if got != want:  # a golden line that is not ASCII always differs; it shows as \xNN
+            want = want.decode("ascii", "backslashreplace")
+            return "trace line %d: computed=%r expected=%r" % (n, got.decode(), want)
     return ""
 
 

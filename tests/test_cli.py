@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 
 import maa32
 from maa32 import cli
-from maa32.core import MAX_MESSAGE_BYTES, Key, mac, mac_bytes, make_message
+from maa32.core import MAX_MESSAGE_BYTES, Key, mac, mac_bytes, make_message, prelude, trace_lines
 from test_core import edge_messages, mixed_keys, stepwise_mac
 
 KEY = "E6A12F07:9D15C437"
 KEY_OBJ = Key(0xE6A12F07, 0x9D15C437)
 SRC_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maa32"
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+# How a FAIL detail shows the first line of MSGGEN 1's trace under KEY.
+TRACE_LINE_1 = "trace line 1: computed=%r" % (
+    next(trace_lines(prelude(KEY_OBJ), [make_message(1)])).decode()
+)
 
 
 def run_cli(*args, stdin: bytes = b"", cwd=None):
@@ -540,37 +544,36 @@ class TestSelftestCommand:
         assert err.endswith(": unexpected end of data\n")
 
     @pytest.mark.parametrize(
-        "n_blocks,text,where",
+        "n_blocks,text,detail",
         [
-            (1, b"N=1 caf\xe9\n", "position 7: ordinal not in range(128), line 1"),
+            (1, b"N=1 caf\xe9\n", TRACE_LINE_1 + " expected='N=1 caf\\\\xe9\\n'"),
             (
                 1,
                 b"N=1 diverges here\n" + b"#" * 99999 + b"\ncaf\xe9\n",
-                "position 3: ordinal not in range(128), line 3",
+                TRACE_LINE_1 + " expected='N=1 diverges here\\n'",
             ),
-            (4000000, b"N=1 caf\xe9\n", "position 7: ordinal not in range(128), line 1"),
+            (4000000, b"N=1 caf\xe9\n", "message has 4000000 blocks; limit is 1000000"),
             # The byte at offset 70,000, past the first 64 KiB.
-            (
-                1,
-                b"N=1 x\n" + b"#" * 69994 + b"\xe9\n",
-                "position 69994: ordinal not in range(128), line 2",
-            ),
+            (1, b"N=1 x\n" + b"#" * 69994 + b"\xe9\n", TRACE_LINE_1 + " expected='N=1 x\\n'"),
         ],
         ids=["first-line", "after-divergence", "over-cap", "second-read"],
     )
-    def test_golden_trace_that_is_not_ascii_is_named(self, tmp_path, n_blocks, text, where):
-        golden = tmp_path / "latin1.trace"
-        golden.write_bytes(text)
+    def test_golden_trace_that_is_not_ascii_is_named(self, tmp_path, n_blocks, text, detail):
+        # A golden that is not ASCII FAILs its case like any other wrong golden,
+        # and every other case is still reported.
+        from maa32 import vectors
+
+        (tmp_path / "latin1.trace").write_bytes(text)
         (tmp_path / "t.mvt").write_text(
             "KEY %s %s\nMSGGEN %d\nEXPECT-TRACE latin1.trace\n" % (KEY[:8], KEY[9:], n_blocks),
             encoding="utf-8",
         )
         code, out, err = run_main("selftest", "--vectors", str(tmp_path / "t.mvt"))
-        assert (code, out) == (2, b"")
-        assert err == "cannot read %s: 'ascii' codec can't decode byte 0xe9 in %s\n" % (
-            golden,
-            where,
-        )
+        assert (code, err) == (4, "")
+        *builtin, case, totals = out.decode().splitlines()
+        assert len(builtin) == len(vectors.builtin_corpus())
+        assert case == "FAIL case-1: " + detail
+        assert totals == "passed=%d failed=1 skipped=1" % (len(builtin) - 1)
 
     @pytest.mark.parametrize(
         "path,base_dir", [("/x.mvt", "/"), ("x.mvt", "."), ("a/b.mvt", "a")]
@@ -946,10 +949,15 @@ FUZZ_FILES = {
         % (KEY[:8].encode(), KEY[9:].encode())
     ),
     "dir.mvt": b"KEY 00000001 00000002\nMSGFILE sub\nEXPECT-MAC 00000000\n",
+    "dir-trace.mvt": b"KEY 00000001 00000002\nMSGGEN 1\nEXPECT-TRACE sub\n",
+    "latin-trace.mvt": b"KEY 00000001 00000002\nMSGGEN 1\nEXPECT-TRACE latin.trace\n",
+    "latin.trace": b"N=1 caf\xe9\n",
     "bad.mvt": b"KEY 1 2\n",
     "count.mvt": "MSGGEN \u00b2\n".encode(),
     "latin.mvt": b"CASE \xff\n",
 }
+# The vector files among them that parse; selftest refuses any other.
+PARSING_FUZZ_FILES = {"good.mvt", "dir.mvt", "dir-trace.mvt", "latin-trace.mvt"}
 _INPUT_OPTIONS = [["--hex"], ["--key", "80018001:80018000"], ["--key", "zz"], ["-"],
                   *([name] for name in FUZZ_FILES), ["sub"], ["missing"]]
 # command: (required options, other options); junk tokens may follow.
@@ -994,11 +1002,17 @@ class TestMainFuzz:
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            code, _, _ = run_main(*argv, stdin=stdin)
+            code, out, _ = run_main(*argv, stdin=stdin)
         except SystemExit as exit:  # argparse's usage error
             assert exit.code == 2
         else:
-            assert code in {0, 1, 2, 3, 4}
+            if argv[0] != "selftest":
+                assert code in {0, 1, 2, 3, 4}
+            else:  # a whole report, exactly when every vector file parses
+                named = {argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == "--vectors"}
+                assert code in ({2} if named - PARSING_FUZZ_FILES else {0, 4})
+                last = (out.splitlines() or [b""])[-1]
+                assert last.startswith(b"passed=") == (code in {0, 4}), out
         finally:
             os.chdir(cwd)
 

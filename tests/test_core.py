@@ -204,7 +204,7 @@ class TestPrelude:
         assert expansion(STANDARD_KEY)[1] == k5_1 ^ k5_2
 
     def test_rejects_out_of_range_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="key word"):
             prelude(Key(2**32, 0))
 
     @pytest.mark.parametrize(
@@ -214,9 +214,9 @@ class TestPrelude:
         # 1.0 and True hash and compare equal to 1, so a cache keyed on
         # them could hand back Key(1, 2)'s prelude.
         prelude(Key(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="key word"):
             prelude(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="key word"):
             mac_bytes(bad, b"abcd")
 
     @pytest.mark.parametrize("bad", [Key([1], 2), Key(1, {2})])

@@ -106,6 +106,30 @@ source_trees = st.builds(
 )
 
 
+# Paths a case may reference beyond FILE_SIZES: a golden that passes
+# (Generated(2) under STANDARD_KEY), goldens that are not ASCII, start with a
+# byte order mark or end their lines in CRLF, a directory and a missing path.
+GOOD_TRACE = emit_trace(STANDARD_KEY, make_message(2)).render().encode()
+GOLDEN_FILES = {
+    "good.trace": GOOD_TRACE,
+    "latin1.trace": b"N=1 caf\xe9\n",
+    "bom.trace": b"\xef\xbb\xbf" + GOOD_TRACE,
+    "crlf.trace": GOOD_TRACE.replace(b"\n", b"\r\n"),
+}
+referenced_paths = st.sampled_from([*FILE_SIZES, *GOLDEN_FILES, "sub", "missing.bin"])
+referencing_cases = st.builds(
+    VectorCase,
+    st.just(""),
+    st.just(STANDARD_KEY),
+    st.builds(
+        lambda leaf, counts: reduce(Repeated, counts, leaf),
+        source_leaves | st.just(Generated(2)) | referenced_paths.map(FileRef),
+        st.lists(st.integers(1, 3), max_size=2),
+    ),
+    u32.map(ExpectMac) | referenced_paths.map(lambda path: ExpectTrace(path=path)),
+)
+
+
 def materialise(source, base_dir):
     """The whole message of a source, as lists: padded bytes, generated blocks, list * count."""
     if isinstance(source, InlineHex):
@@ -139,6 +163,9 @@ def message_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("messages")
     for name, size in FILE_SIZES.items():
         (path / name).write_bytes(bytes((37 * i + 11) & 0xFF for i in range(size)))
+    for name, data in GOLDEN_FILES.items():
+        (path / name).write_bytes(data)
+    (path / "sub").mkdir()
     return str(path)
 
 
@@ -649,16 +676,47 @@ class TestRunner:
         detail = "trace line %d: computed='%s\\n' expected='%s'" % (n, last, last)
         assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
 
-    @pytest.mark.parametrize("line", [1, 4, 7])
-    def test_inline_golden_with_a_non_ascii_character_fails_at_its_line(self, line):
+    @pytest.mark.parametrize(
+        "line,old,new,encoding,shown,as_file",
+        [
+            *(
+                (line, "=", "\u00e9", "latin-1", "\\xe9", as_file)
+                for line in (1, 4, 7)
+                for as_file in (False, True)
+            ),
+            (1, "N", "\ufeffN", "utf-8", "\\xef\\xbb\\xbfN", True),
+        ],
+        ids=[*("line-%d-%s" % (n, f) for n in (1, 4, 7) for f in ("inline", "file")), "bom-file"],
+    )
+    def test_inline_golden_with_a_non_ascii_character_fails_at_its_line(
+        self, tmp_path, line, old, new, encoding, shown, as_file
+    ):
+        # One rule inline and from a file: a golden line that is not ASCII FAILs at
+        # that line, its non-ASCII bytes shown as \xNN.  Inline text is escaped per
+        # character, so a file holds é as its one latin-1 byte, and the byte order
+        # mark as its three UTF-8 bytes.
         lines = emit_trace(STANDARD_KEY, make_message(3)).render().splitlines(keepends=True)
-        want = lines[line - 1].replace("=", "\u00e9", 1)
+        want = lines[line - 1].replace(old, new, 1)
         golden = "".join(lines[: line - 1] + [want] + lines[line:])
-        case = VectorCase("latin", STANDARD_KEY, Generated(3), ExpectTrace(golden))
-        (result,) = run_vectors([case]).results
-        escaped = want.replace("\u00e9", "\\xe9")
+        (tmp_path / "g.trace").write_bytes(golden.encode(encoding))
+        expect = ExpectTrace(path="g.trace") if as_file else ExpectTrace(golden)
+        case = VectorCase("latin", STANDARD_KEY, Generated(3), expect)
+        (result,) = run_vectors([case], base_dir=str(tmp_path)).results
+        escaped = lines[line - 1].replace(old, shown, 1)
         detail = "trace line %d: computed=%r expected=%r" % (line, lines[line - 1], escaped)
         assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
+
+    @given(st.lists(referencing_cases, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_parsed_case_never_aborts_the_run(self, message_dir, cases):
+        # Whatever its files hold, or whether they are files at all, each case
+        # has one result, in order: only a vector file that cannot be read or
+        # parsed stops selftest.
+        cases = [case._replace(name="case-%d" % i) for i, case in enumerate(cases)]
+        report = run_vectors(cases, base_dir=message_dir)
+        assert [r.name for r in report.results] == [case.name for case in cases]
+        statuses = {vectors.STATUS_PASS, vectors.STATUS_FAIL, vectors.STATUS_SKIP}
+        assert {r.status for r in report.results} <= statuses
 
     @pytest.mark.parametrize(
         "source,expect",
