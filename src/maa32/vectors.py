@@ -27,14 +27,15 @@ comment lines included.
 
 Relative paths resolve against the directory given to ``run_vectors``.  A
 referenced file that does not exist SKIPs the case, which is how optional
-external suites are gated in; one that cannot be read FAILs it.
+external suites are gated in; one that exists but cannot be opened (a
+directory, a symlink loop) FAILs it at any REPEAT count.
 
-The runner runs a case in one pass over its message.  Every message
-source knows its length before any block is made (a file by its size), so
-a message that reaches the length cap FAILs unread, its length as the
-detail.  The message is then made as it is consumed: bytes (``MSGHEX``,
-``MSGFILE``) are read and padded by ``mac_bytes``'s reader, and blocks are
-checked, and capped once more, by ``mac``'s segment source.
+The runner runs a case in one pass over its message.  Every message source
+knows its length before any block is made (bytes are sized by opening them
+as the reader does), so a message that reaches the length cap FAILs unread,
+its length as the detail.  The message is then made as it is consumed: bytes
+(``MSGHEX``, ``MSGFILE``) are read and padded by ``mac_bytes``'s reader, and
+blocks are checked, and capped once more, by ``mac``'s segment source.
 
 A trace case streams ``core.trace_lines`` (which describes the format)
 against its golden a line at a time and compares bytes, line ends
@@ -91,38 +92,36 @@ Repeated = namedtuple("Repeated", "inner count")  # inner: a message source
 MessageSource = InlineHex | FileRef | Generated | Repeated
 
 
-def _existing_path(path: str, base_dir: str) -> str:
-    """path against base_dir (an absolute path stays as is); FileNotFoundError(path) if absent."""
-    full = os.path.join(base_dir, path)
-    if not os.path.exists(full):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return full
+def _open(source: InlineHex | FileRef, base_dir: str) -> io.BufferedIOBase:
+    if isinstance(source, InlineHex):
+        return io.BytesIO(source.data)
+    try:  # base_dir joins a relative path; an absolute one stays as is
+        return open(os.path.join(base_dir, source.path), "rb")
+    except (FileNotFoundError, NotADirectoryError):  # absent: SKIPs, named as written
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source.path) from None
 
 
 def _source_length(source: MessageSource, base_dir: str) -> int:
     """The source's length in blocks, known before any block is made."""
-    if isinstance(source, InlineHex):
-        return -(-len(source.data) // 4)
     if isinstance(source, Generated):
         return source.n_blocks
     if isinstance(source, Repeated):
         return source.count * _source_length(source.inner, base_dir)
-    if isinstance(source, FileRef):
-        return -(-os.path.getsize(_existing_path(source.path, base_dir)) // 4)
+    if isinstance(source, (InlineHex, FileRef)):
+        with _open(source, base_dir) as fh:
+            return -(-fh.seek(0, io.SEEK_END) // 4)
     raise TypeError("unknown message source: %r" % (source,))
 
 
 def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
     """The source's blocks, made as they are consumed; byte data is padded per source."""
-    if isinstance(source, InlineHex):
-        yield from chain.from_iterable(_read_segments(io.BytesIO(source.data)))
-    elif isinstance(source, Generated):
+    if isinstance(source, Generated):
         yield from _message_blocks(source.n_blocks)
     elif isinstance(source, Repeated) and _source_length(source.inner, base_dir):
         for _ in range(source.count):  # count is uncapped when the inner source is empty
             yield from _source_blocks(source.inner, base_dir)
-    elif isinstance(source, FileRef):
-        with open(_existing_path(source.path, base_dir), "rb") as fh:
+    elif isinstance(source, (InlineHex, FileRef)):
+        with _open(source, base_dir) as fh:
             yield from chain.from_iterable(_read_segments(fh))
 
 
@@ -343,7 +342,7 @@ def _golden(expect: ExpectTrace, base_dir: str) -> io.BufferedIOBase:
     """The golden trace as bytes: inline text in ASCII with escapes, a file as stored."""
     if expect.text is not None:
         return io.BytesIO(expect.text.encode("ascii", "backslashreplace"))
-    return open(_existing_path(expect.path or "", base_dir), "rb")
+    return _open(FileRef(expect.path or ""), base_dir)
 
 
 def _words(values: Iterable[int]) -> str:

@@ -451,7 +451,52 @@ class TestTraceCommand:
         assert out.read_text(encoding="utf-8") == "kept\n"
 
 
+# The builtin corpus report in full; --inject-fault breaks the iso-mac case.
+SELFTEST_REPORT = """\
+PASS conditioning-1
+PASS conditioning-2
+PASS conditioning-3
+PASS iso-prelude-55555555
+PASS iso-prelude-00ff00ff
+%s
+PASS gen-0000
+PASS gen-0001
+PASS gen-0004
+PASS gen-0008
+PASS gen-0255
+PASS gen-0256
+PASS gen-0257
+PASS gen-0300
+PASS gen-0600
+PASS prefix-14-bytes
+PASS gen-0008-reversed
+PASS gen-0600-segments-swapped
+PASS degenerate-key-gen-0003
+PASS trace-gen-0003
+SKIP iso8730-588-block: missing file: iso8730-e34-message.bin
+%s
+"""
+
+
 class TestSelftestCommand:
+    @pytest.mark.parametrize(
+        "argv,code,iso_mac,totals",
+        [
+            ([], 0, "PASS iso-mac-db79fbdc", "passed=20 failed=0 skipped=1"),
+            (
+                ["--inject-fault"],
+                4,
+                "FAIL iso-mac-db79fbdc (fault injected): computed=DB79FBDC expected=DB79FBDD",
+                "passed=19 failed=1 skipped=1",
+            ),
+        ],
+        ids=["clean", "inject-fault"],
+    )
+    def test_builtin_report_is_pinned(self, tmp_path, argv, code, iso_mac, totals):
+        proc = run_cli("selftest", *argv, cwd=tmp_path)
+        report = (SELFTEST_REPORT % (iso_mac, totals)).encode()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, report, b"")
+
     def test_passes_and_reports_the_gated_skip(self, tmp_path):
         proc = run_cli("selftest", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -934,7 +979,8 @@ def test_negative_block_count_exits_2_and_writes_nothing(tmp_path, argv):
 
 
 # cli.main fuzzing: one of the six commands, then option pairs and junk
-# tokens, run in a fresh directory holding every file a token names.
+# tokens, run in a fresh directory holding every file a token names, a
+# directory (sub) and a symlink to itself (loop).
 FUZZ_FILES = {
     "m.bin": blocks_to_bytes(make_message(8)),
     "m.hex": b"4245 0A0A\n2020",
@@ -950,6 +996,7 @@ FUZZ_FILES = {
     ),
     "dir.mvt": b"KEY 00000001 00000002\nMSGFILE sub\nEXPECT-MAC 00000000\n",
     "dir-trace.mvt": b"KEY 00000001 00000002\nMSGGEN 1\nEXPECT-TRACE sub\n",
+    "loop.mvt": b"KEY 00000001 00000002\nMSGFILE loop\nEXPECT-MAC 00000000\n",
     "latin-trace.mvt": b"KEY 00000001 00000002\nMSGGEN 1\nEXPECT-TRACE latin.trace\n",
     "latin.trace": b"N=1 caf\xe9\n",
     "bad.mvt": b"KEY 1 2\n",
@@ -957,9 +1004,9 @@ FUZZ_FILES = {
     "latin.mvt": b"CASE \xff\n",
 }
 # The vector files among them that parse; selftest refuses any other.
-PARSING_FUZZ_FILES = {"good.mvt", "dir.mvt", "dir-trace.mvt", "latin-trace.mvt"}
+PARSING_FUZZ_FILES = {"good.mvt", "dir.mvt", "dir-trace.mvt", "loop.mvt", "latin-trace.mvt"}
 _INPUT_OPTIONS = [["--hex"], ["--key", "80018001:80018000"], ["--key", "zz"], ["-"],
-                  *([name] for name in FUZZ_FILES), ["sub"], ["missing"]]
+                  *([name] for name in FUZZ_FILES), ["sub"], ["loop"], ["missing"]]
 # command: (required options, other options); junk tokens may follow.
 FUZZ_COMMANDS = {
     "mac": (["--key", KEY], _INPUT_OPTIONS),
@@ -968,7 +1015,7 @@ FUZZ_COMMANDS = {
     "selftest": (
         [],
         [*(["--vectors", name] for name in [*FUZZ_FILES, "missing.mvt", "sub"]),
-         ["--data-dir", "sub"], ["--inject-fault"]],
+         ["--data-dir", "sub"], ["--data-dir", "loop"], ["--inject-fault"]],
     ),
     "bench": ([], []),
     "gen": ([], [["-o", "out"], ["--output", "sub"]]),
@@ -997,6 +1044,7 @@ class TestMainFuzz:
         for name, data in FUZZ_FILES.items():
             (work / name).write_bytes(data)
         (work / "sub").mkdir()
+        (work / "loop").symlink_to("loop")
         if argv[0] in ("bench", "gen"):  # the last --blocks wins
             argv = [*argv, "--blocks", str(n_blocks)]
         cwd = os.getcwd()

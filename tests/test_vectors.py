@@ -1,5 +1,7 @@
 """Vector corpus, file format, runner, and tracer."""
 
+import errno
+import os
 import textwrap
 from functools import reduce
 from pathlib import Path
@@ -108,7 +110,8 @@ source_trees = st.builds(
 
 # Paths a case may reference beyond FILE_SIZES: a golden that passes
 # (Generated(2) under STANDARD_KEY), goldens that are not ASCII, start with a
-# byte order mark or end their lines in CRLF, a directory and a missing path.
+# byte order mark or end their lines in CRLF, a directory, a symlink to itself
+# and a missing path.
 GOOD_TRACE = emit_trace(STANDARD_KEY, make_message(2)).render().encode()
 GOLDEN_FILES = {
     "good.trace": GOOD_TRACE,
@@ -116,7 +119,7 @@ GOLDEN_FILES = {
     "bom.trace": b"\xef\xbb\xbf" + GOOD_TRACE,
     "crlf.trace": GOOD_TRACE.replace(b"\n", b"\r\n"),
 }
-referenced_paths = st.sampled_from([*FILE_SIZES, *GOLDEN_FILES, "sub", "missing.bin"])
+referenced_paths = st.sampled_from([*FILE_SIZES, *GOLDEN_FILES, "sub", "loop", "missing.bin"])
 referencing_cases = st.builds(
     VectorCase,
     st.just(""),
@@ -166,6 +169,7 @@ def message_dir(tmp_path_factory):
     for name, data in GOLDEN_FILES.items():
         (path / name).write_bytes(data)
     (path / "sub").mkdir()
+    (path / "loop").symlink_to("loop")
     return str(path)
 
 
@@ -731,6 +735,27 @@ class TestRunner:
         (result,) = run_vectors([case], base_dir=str(tmp_path)).results
         assert result.status == vectors.STATUS_SKIP
         assert result.detail.startswith("missing file: nope.")
+
+    @pytest.mark.parametrize("count", [1, 10**6])
+    @pytest.mark.parametrize(
+        "path,error",
+        [("sub", errno.EISDIR), ("loop", errno.ELOOP), ("missing.bin", None), ("three.bin/x", None)],
+    )
+    def test_repeat_count_does_not_change_a_paths_outcome(self, message_dir, path, error, count):
+        # A file that exists but cannot be opened FAILs with the system's error, and
+        # one that does not exist SKIPs, before any REPEAT count sizes the message:
+        # 10**6 puts any nonzero size over the cap.
+        if error is None:
+            want = (vectors.STATUS_SKIP, "missing file: %s" % path)
+        else:
+            full = os.path.join(message_dir, path)
+            want = (vectors.STATUS_FAIL, str(OSError(error, os.strerror(error), full)))
+        cases = [
+            VectorCase("once", STANDARD_KEY, FileRef(path), ExpectMac(0)),
+            VectorCase("repeated", STANDARD_KEY, Repeated(FileRef(path), count), ExpectMac(0)),
+        ]
+        report = run_vectors(cases, base_dir=message_dir)
+        assert [(r.status, r.detail) for r in report.results] == [want, want]
 
     @pytest.mark.parametrize(
         "key,source,expect,detail",
