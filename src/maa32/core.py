@@ -97,11 +97,8 @@ class PreludeOutput(namedtuple("PreludeOutput", "x0 y0 v0 w s t")):
 
 def _unpack_blocks(data: bytes) -> tuple[int, ...]:
     """Big-endian blocks of data, zero-filling the last one."""
-    full, rest = divmod(len(data), 4)
-    blocks = struct.unpack_from(">%dI" % full, data)
-    if rest:
-        blocks += (int.from_bytes(data[-rest:], "big") << (32 - 8 * rest),)
-    return blocks
+    data += bytes(-len(data) % 4)
+    return struct.unpack(">%dI" % (len(data) // 4), data)
 
 
 def make_message(n_blocks: int) -> list[int]:

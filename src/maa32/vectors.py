@@ -27,15 +27,15 @@ comment lines included.
 
 Relative paths resolve against the directory given to ``run_vectors``.  A
 referenced file that does not exist SKIPs the case, which is how optional
-external suites are gated in; one that exists but cannot be opened (a
-directory, a symlink loop) FAILs it at any REPEAT count.
+external suites are gated in; one that cannot be opened (a directory, a
+symlink loop) or is not a regular file (a FIFO, a device) FAILs it.
 
-The runner runs a case in one pass over its message.  Every message source
-knows its length before any block is made (bytes are sized by opening them
-as the reader does), so a message that reaches the length cap FAILs unread,
-its length as the detail.  The message is then made as it is consumed: bytes
-(``MSGHEX``, ``MSGFILE``) are read and padded by ``mac_bytes``'s reader, and
-blocks are checked, and capped once more, by ``mac``'s segment source.
+The runner runs a case in one pass over its message.  Nested REPEATs
+multiply, and a byte source (``MSGHEX``, ``MSGFILE``) is opened once,
+without blocking, and sized from that open, so a message that reaches the
+length cap FAILs unread, its length as the detail; it is re-read from its
+start per repetition, and padded by ``mac_bytes``'s reader.  Blocks are
+checked, and capped once more (a file may grow), by ``mac``'s segment source.
 
 A trace case streams ``core.trace_lines`` (which describes the format)
 against its golden a line at a time and compares bytes, line ends
@@ -46,6 +46,7 @@ ASCII, at that line, its non-ASCII bytes shown as ``\\xNN``.
 import errno
 import io
 import os
+import stat
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, zip_longest
@@ -95,34 +96,39 @@ MessageSource = InlineHex | FileRef | Generated | Repeated
 def _open(source: InlineHex | FileRef, base_dir: str) -> io.BufferedIOBase:
     if isinstance(source, InlineHex):
         return io.BytesIO(source.data)
-    try:  # base_dir joins a relative path; an absolute one stays as is
-        return open(os.path.join(base_dir, source.path), "rb")
+    path = os.path.join(base_dir, source.path)  # an absolute path stays as is
+    try:
+        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
     except (FileNotFoundError, NotADirectoryError):  # absent: SKIPs, named as written
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source.path) from None
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a FIFO or a device: FAILs unread
+        fh.close()
+        raise OSError("not a regular file: %s" % path)
+    return fh
 
 
-def _source_length(source: MessageSource, base_dir: str) -> int:
-    """The source's length in blocks, known before any block is made."""
+def _message(source: MessageSource, base_dir: str) -> Iterator[int]:
+    """The source's blocks, made as they are consumed; nested REPEATs fold into one count.
+
+    A byte source is opened once, sized from that open and re-read from its
+    start for each repetition.  Raises MessageTooLong before the first block.
+    """
+    count = 1
+    while isinstance(source, Repeated):
+        source, count = source.inner, count * source.count
     if isinstance(source, Generated):
-        return source.n_blocks
-    if isinstance(source, Repeated):
-        return source.count * _source_length(source.inner, base_dir)
-    if isinstance(source, (InlineHex, FileRef)):
-        with _open(source, base_dir) as fh:
-            return -(-fh.seek(0, io.SEEK_END) // 4)
-    raise TypeError("unknown message source: %r" % (source,))
-
-
-def _source_blocks(source: MessageSource, base_dir: str) -> Iterator[int]:
-    """The source's blocks, made as they are consumed; byte data is padded per source."""
-    if isinstance(source, Generated):
-        yield from _message_blocks(source.n_blocks)
-    elif isinstance(source, Repeated) and _source_length(source.inner, base_dir):
-        for _ in range(source.count):  # count is uncapped when the inner source is empty
-            yield from _source_blocks(source.inner, base_dir)
+        _check_block_count(count * source.n_blocks)
+        for _ in range(count if source.n_blocks else 0):  # count is uncapped for no blocks
+            yield from _message_blocks(source.n_blocks)
     elif isinstance(source, (InlineHex, FileRef)):
         with _open(source, base_dir) as fh:
-            yield from chain.from_iterable(_read_segments(fh))
+            size = fh.seek(0, io.SEEK_END)
+            _check_block_count(count * -(-size // 4))
+            for _ in range(count if size else 0):
+                fh.seek(0)
+                yield from chain.from_iterable(_read_segments(fh))
+    else:
+        raise TypeError("unknown message source: %r" % (source,))
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +330,12 @@ def _evaluate(case: VectorCase, base_dir: str) -> VectorResult:
         return _compared(case.name, prelude(case.key), expect.values)
     if case.source is None:
         return VectorResult(case.name, STATUS_FAIL, "case has no message")
+    blocks = _message(case.source, base_dir)  # opened and sized at the first read
     if isinstance(expect, ExpectTrace):
-        with _golden(expect, base_dir) as golden:  # before sizing: a missing golden SKIPs
-            _check_block_count(_source_length(case.source, base_dir))
-            blocks = _source_blocks(case.source, base_dir)
+        with _golden(expect, base_dir) as golden:  # so a missing golden SKIPs an over-cap case
             lines = trace_lines(prelude(case.key), _block_segments(blocks))
             detail = _first_divergence(lines, golden)
         return VectorResult(case.name, STATUS_FAIL if detail else STATUS_PASS, detail)
-    _check_block_count(_source_length(case.source, base_dir))
-    blocks = _source_blocks(case.source, base_dir)
     if isinstance(expect, ExpectMac):
         return _compared(case.name, (mac(case.key, blocks),), (expect.value,))
     return VectorResult(case.name, STATUS_FAIL, "unknown expectation: %r" % (expect,))

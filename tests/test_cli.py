@@ -30,13 +30,13 @@ TRACE_LINE_1 = "trace line 1: computed=%r" % (
 )
 
 
-def run_cli(*args, stdin: bytes = b"", cwd=None):
+def run_cli(*args, stdin: bytes = b"", cwd=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "maa32", *args],
         input=stdin,
         capture_output=True,
         cwd=cwd,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -638,6 +638,31 @@ class TestSelftestCommand:
         assert (code, err) == (0, "")
         assert seen[1:] == [([path], base_dir)]
         assert seen[0][1] == "data"
+
+    @pytest.mark.parametrize(
+        "body,path",
+        [
+            ("MSGFILE fifo\nEXPECT-MAC 00000000", "fifo"),
+            ("MSGGEN 1\nEXPECT-TRACE fifo", "fifo"),
+            ("MSGFILE /dev/zero\nEXPECT-MAC 00000000", "/dev/zero"),
+        ],
+        ids=["fifo-message", "fifo-golden", "dev-zero-message"],
+    )
+    def test_fifo_or_device_fails_its_case_at_once(self, tmp_path, body, path):
+        # A FIFO with no writer once blocked the open for ever, and /dev/zero
+        # was read to the cap; the timeout makes a regression fail in seconds.
+        os.mkfifo(tmp_path / "fifo")
+        full = os.path.join(tmp_path, path)
+        if not os.path.exists(full):
+            pytest.skip("no %s here" % full)
+        (tmp_path / "s.mvt").write_text(
+            "KEY %s %s\n%s\n" % (KEY[:8], KEY[9:], body), encoding="utf-8"
+        )
+        proc = run_cli("selftest", "--vectors", str(tmp_path / "s.mvt"), cwd=tmp_path, timeout=10)
+        assert (proc.returncode, proc.stderr) == (4, b"")
+        *builtin, case, totals = proc.stdout.decode().splitlines()
+        assert case == "FAIL case-1: not a regular file: %s" % full
+        assert totals == "passed=%d failed=1 skipped=1" % (len(builtin) - 1)
 
     def test_vector_file_relative_msgfile_resolves_next_to_it(self, tmp_path):
         sub = tmp_path / "vectors"

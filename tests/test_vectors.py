@@ -7,7 +7,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import maa32
@@ -110,8 +110,8 @@ source_trees = st.builds(
 
 # Paths a case may reference beyond FILE_SIZES: a golden that passes
 # (Generated(2) under STANDARD_KEY), goldens that are not ASCII, start with a
-# byte order mark or end their lines in CRLF, a directory, a symlink to itself
-# and a missing path.
+# byte order mark or end their lines in CRLF, a directory, a symlink to itself,
+# a FIFO with no writer and a missing path.
 GOOD_TRACE = emit_trace(STANDARD_KEY, make_message(2)).render().encode()
 GOLDEN_FILES = {
     "good.trace": GOOD_TRACE,
@@ -119,7 +119,9 @@ GOLDEN_FILES = {
     "bom.trace": b"\xef\xbb\xbf" + GOOD_TRACE,
     "crlf.trace": GOOD_TRACE.replace(b"\n", b"\r\n"),
 }
-referenced_paths = st.sampled_from([*FILE_SIZES, *GOLDEN_FILES, "sub", "loop", "missing.bin"])
+referenced_paths = st.sampled_from(
+    [*FILE_SIZES, *GOLDEN_FILES, "sub", "loop", "fifo", "missing.bin"]
+)
 referencing_cases = st.builds(
     VectorCase,
     st.just(""),
@@ -161,6 +163,20 @@ def source_reads(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every stream the runner opens, message or golden, in order."""
+    streams = []
+    real = vectors._open
+
+    def recorded(*args):
+        streams.append(real(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(vectors, "_open", recorded)
+    return streams
+
+
 @pytest.fixture(scope="module")
 def message_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("messages")
@@ -170,6 +186,7 @@ def message_dir(tmp_path_factory):
         (path / name).write_bytes(data)
     (path / "sub").mkdir()
     (path / "loop").symlink_to("loop")
+    os.mkfifo(path / "fifo")
     return str(path)
 
 
@@ -272,11 +289,40 @@ class TestLazySources:
         assert result.status == vectors.STATUS_PASS
         assert len(source_reads) == reads
 
+    @pytest.mark.parametrize(
+        "leaf,opens",
+        [(FileRef("segment-plus-5.bin"), 1), (InlineHex(b"\x01\x02\x03"), 1), (Generated(2), 0)],
+    )
+    def test_nested_repeats_open_their_source_once(
+        self, source_reads, opened, message_dir, leaf, opens
+    ):
+        # The counts multiply: one open, sized once, then one read per repetition.
+        source = Repeated(Repeated(leaf, 3), 7)
+        want = mac(STANDARD_KEY, materialise(source, message_dir))
+        case = VectorCase("nested", STANDARD_KEY, source, ExpectMac(want))
+        (result,) = run_vectors([case], base_dir=message_dir).results
+        assert result.status == vectors.STATUS_PASS
+        assert (len(opened), len(source_reads)) == (opens, 21)
+        assert all(stream.closed for stream in opened)
+
     @given(source_trees)
-    @settings(max_examples=100, deadline=None)
-    def test_length_is_known_before_any_block(self, message_dir, source):
-        want = len(materialise(source, message_dir))
-        assert vectors._source_length(source, message_dir) == want
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_length_is_known_before_any_block(self, source_reads, message_dir, source):
+        # Any tree under a REPEAT that takes it to the cap FAILs unread, its exact length given.
+        n_blocks = len(materialise(source, message_dir))
+        assume(n_blocks)
+        count = -(-core.MAX_MESSAGE_BLOCKS // n_blocks)
+        source_reads.clear()
+        cases = [
+            VectorCase("big", STANDARD_KEY, Repeated(source, count), expect)
+            for expect in (ExpectMac(0), ExpectTrace("MAC=00000000\n"))
+        ]
+        report = run_vectors(cases, base_dir=message_dir)
+        detail = "message has %d blocks; limit is 1000000" % (count * n_blocks)
+        assert [(r.status, r.detail) for r in report.results] == [(vectors.STATUS_FAIL, detail)] * 2
+        assert source_reads == []
 
     @pytest.mark.parametrize(
         "source,expect,n_blocks",
@@ -756,6 +802,59 @@ class TestRunner:
         ]
         report = run_vectors(cases, base_dir=message_dir)
         assert [(r.status, r.detail) for r in report.results] == [want, want]
+
+    @pytest.mark.parametrize(
+        "source,expect,path",
+        [
+            (FileRef("fifo"), ExpectMac(0), "fifo"),
+            (Repeated(FileRef("fifo"), 10**6), ExpectMac(0), "fifo"),
+            (Generated(1), ExpectTrace(path="fifo"), "fifo"),
+            (FileRef("/dev/zero"), ExpectMac(0), "/dev/zero"),
+        ],
+        ids=["msgfile", "repeated-msgfile", "golden", "dev-zero"],
+    )
+    def test_a_fifo_or_a_device_fails_unread(self, message_dir, source_reads, source, expect, path):
+        # A path is opened without blocking and must name a regular file: a FIFO
+        # with no writer would block the open, and a device has no size to check.
+        full = os.path.join(message_dir, path)
+        if not os.path.exists(full):
+            pytest.skip("no %s here" % full)
+        key = Key(0x00FF00FF, 0x00000000)
+        neighbour = VectorCase("before", key, None, ExpectPrelude(tuple(core.prelude(key))))
+        special = VectorCase("special", key, source, expect)
+        report = run_vectors([neighbour, special, neighbour._replace(name="after")], message_dir)
+        assert [(r.name, r.status, r.detail) for r in report.results] == [
+            ("before", vectors.STATUS_PASS, ""),
+            ("special", vectors.STATUS_FAIL, "not a regular file: %s" % full),
+            ("after", vectors.STATUS_PASS, ""),
+        ]
+        assert source_reads == []
+
+    def test_a_case_stopped_early_closes_its_message_file(self, monkeypatch, opened, tmp_path):
+        # mac()'s own cap stops reading a file that grows after it is sized, and a
+        # trace that diverges at line 1 stops at its first block.
+        (tmp_path / "one.bin").write_bytes(bytes(4))
+        (tmp_path / "grows.bin").write_bytes(bytes(4))
+        check = vectors._check_block_count
+
+        def grow_after_sizing(n_blocks):
+            check(n_blocks)
+            with open(tmp_path / "grows.bin", "ab") as fh:
+                fh.write(bytes(4))
+
+        monkeypatch.setattr(core, "MAX_MESSAGE_BLOCKS", 600)
+        monkeypatch.setattr(vectors, "_check_block_count", grow_after_sizing)
+        cases = [
+            VectorCase("mac", STANDARD_KEY, Repeated(FileRef("grows.bin"), 500), ExpectMac(0)),
+            VectorCase("trace", STANDARD_KEY, FileRef("one.bin"), ExpectTrace("N=0\n")),
+        ]
+        first = next(core.trace_lines(core.prelude(STANDARD_KEY), [(0,)])).decode()
+        report = run_vectors(cases, base_dir=str(tmp_path))
+        assert [(r.status, r.detail) for r in report.results] == [
+            (vectors.STATUS_FAIL, "message has 600 blocks; limit is 600"),
+            (vectors.STATUS_FAIL, "trace line 1: computed=%r expected='N=0\\n'" % first),
+        ]
+        assert [stream.closed for stream in opened] == [True, True]
 
     @pytest.mark.parametrize(
         "key,source,expect,detail",
