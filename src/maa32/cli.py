@@ -6,18 +6,21 @@ corpus plus optional vector files), ``bench`` (throughput of generating and
 chaining a test message) and ``gen`` (write deterministic test messages).
 
 Exit codes: 0 success or verified match, 1 verify mismatch, 2 usage, parse
-or I/O errors (a full or closed stdout and a closed stdin included), 3
+or I/O errors (a full, closed or text-only stdout or stdin included), 3
 message too long, 4 selftest or vector failure.  ``main`` owns the
 standard streams: before reading any input it refuses a closed stdout,
-unless the command writes none, then a closed stdin if the input is
+unless the command writes none, or a text-only one (no ``.buffer``) where
+the command writes bytes, then a closed or text-only stdin if the input is
 ``-``; only ``_report`` writes stderr, and a closed or full stderr never
 changes the exit code, argparse's exits included.
 
 Binary input is consumed as a stream of 4-byte big-endian blocks, read a
 256-block segment at a time, so arbitrarily large files run in constant
-memory; a regular file over the length cap is refused before it is read.
-``trace`` reads at most one byte past the cap, refuses over-cap input
-before writing anything, and writes each segment's lines as they are made.
+memory.  One size rule holds, named or redirected: input that can seek is
+sized from where it stands and, over the length cap, refused unread; a
+pipe or a terminal is counted as it is read.  ``trace`` holds the input,
+reads at most one byte past the cap, refuses over-cap input before
+writing anything, and writes each segment's lines as they are made.
 With ``--hex`` the input is read as hex digits with all whitespace ignored,
 and refused as soon as the bytes it decodes to pass the cap.  ``gen`` and
 ``bench`` make their message a segment at a time, so no command holds more
@@ -31,7 +34,6 @@ import argparse
 import codecs
 import io
 import os
-import stat
 import struct
 import sys
 import time
@@ -167,15 +169,15 @@ def _hex_bytes(fh: io.BufferedIOBase) -> bytes:
 def _input_stream(args) -> Iterator[io.BufferedIOBase]:
     """The input as a binary stream, open for the duration of the block.
 
-    A regular file over the length cap is refused here, before it is read.
+    Binary input that can seek is sized here and refused unread over the cap.
     """
     with nullcontext(sys.stdin.buffer) if args.input == "-" else open(args.input, "rb") as fh:
         if args.hex:
             fh = io.BytesIO(_hex_bytes(fh))
-        elif args.input != "-":
-            info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode):
-                core._check_byte_count(info.st_size)
+        elif fh.seekable():
+            start = fh.tell()
+            core._check_byte_count(fh.seek(0, io.SEEK_END) - start)
+            fh.seek(start)
         yield fh
 
 
@@ -295,10 +297,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         writes_stdout = args.command != "verify" and getattr(args, "output", None) is None
+        reads_stdin = getattr(args, "input", None) == "-"
         if writes_stdout and sys.stdout is None:
             return _report("standard output is closed", 2)
-        if getattr(args, "input", None) == "-" and sys.stdin is None:
+        if writes_stdout and args.command in ("trace", "gen") and not hasattr(sys.stdout, "buffer"):
+            return _report("standard output is text only", 2)
+        if reads_stdin and sys.stdin is None:
             return _report("standard input is closed", 2)
+        if reads_stdin and not hasattr(sys.stdin, "buffer"):
+            return _report("standard input is text only", 2)
         code = _COMMANDS[args.command](args)
         if sys.stdout is not None:  # a full or broken stdout fails here
             sys.stdout.flush()

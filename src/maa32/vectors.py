@@ -8,13 +8,16 @@ lines are ignored, and every other line is a directive:
     MSGHEX <hex>                     message bytes, repeatable, concatenates
     MSGFILE <path>                   message bytes from a file
     MSGGEN <n>                       n blocks from the deterministic generator
-    REPEAT <count>                   repeat the accumulated blocks count times
+    REPEAT <count>                   repeat the whole message count times
     EXPECT-MAC <8 hex>               expected authenticator
     EXPECT-PRELUDE <six 8 hex>       expected key expansion
     EXPECT-TRACE <path>              expected per-block trace (golden file)
 
-Hex words are exactly eight hex digits; counts are ASCII decimal.  A file
-is UTF-8 and may start with a byte order mark.
+Hex words are exactly eight hex digits; counts are ASCII decimal.  A name
+or path is the rest of its line as written, trimmed at both ends, so runs
+of blanks and tabs inside it are kept.  ``REPEAT`` repeats the case's
+whole message wherever it stands: ``MSGHEX A``, ``REPEAT 2``, ``MSGHEX B``
+is A B A B.  A file is UTF-8 and may start with a byte order mark.
 
 A case holds one expectation.  ``CASE`` always opens a new case, and so
 does a body directive (``KEY``, ``MSGHEX``, ``MSGFILE``, ``MSGGEN``,
@@ -404,9 +407,9 @@ def _word(token: str) -> int:
     return int(token, 16)
 
 
-def _hex(args: list[str]) -> str:
+def _hex(text: str) -> str:
     # a bare MSGHEX is legal: it denotes the empty message
-    digits = "".join(args)
+    digits = "".join(text.split())
     if not is_hex(digits):
         raise ValueError("MSGHEX contains non-hex characters")
     return digits
@@ -421,27 +424,28 @@ def _count(token: str, least: int) -> int:
 
 
 # directive: (slot, (fewest, most) arguments, usage, converter).  A
-# converter raises ValueError with its own message, or with none to report
-# the usage line.
+# converter takes the rest of the line, trimmed, and raises ValueError with
+# its own message, or with none to report the usage line.
 _DIRECTIVES = {
-    "CASE": ("name", (1, None), "CASE needs a name", " ".join),
-    "KEY": ("key", (2, 2), "KEY needs two 8-digit hex words", lambda a: Key(*map(_word, a))),
+    "CASE": ("name", (1, None), "CASE needs a name", str),
+    "KEY": ("key", (2, 2), "KEY needs two 8-digit hex words",
+            lambda a: Key(*map(_word, a.split()))),
     "MSGHEX": ("source", (0, None), "", _hex),
-    "MSGFILE": ("source", (1, None), "MSGFILE needs a path", lambda a: FileRef(" ".join(a))),
+    "MSGFILE": ("source", (1, None), "MSGFILE needs a path", FileRef),
     "MSGGEN": ("source", (1, 1), "MSGGEN needs a nonnegative block count",
-               lambda a: Generated(_count(a[0], 0))),
-    "REPEAT": ("repeat", (1, 1), "REPEAT needs a positive count", lambda a: _count(a[0], 1)),
+               lambda a: Generated(_count(a, 0))),
+    "REPEAT": ("repeat", (1, 1), "REPEAT needs a positive count", lambda a: _count(a, 1)),
     "EXPECT-MAC": ("expect", (1, 1), "EXPECT-MAC needs one 8-digit hex word",
-                   lambda a: ExpectMac(_word(a[0]))),
+                   lambda a: ExpectMac(_word(a))),
     "EXPECT-PRELUDE": ("expect", (6, 6), "EXPECT-PRELUDE needs six 8-digit hex words",
-                       lambda a: ExpectPrelude(tuple(map(_word, a)))),
+                       lambda a: ExpectPrelude(tuple(map(_word, a.split())))),
     "EXPECT-TRACE": ("expect", (1, None), "EXPECT-TRACE needs a path",
-                     lambda a: ExpectTrace(path=" ".join(a))),
+                     lambda a: ExpectTrace(path=a)),
 }
 _BODY = frozenset({"KEY", "MSGHEX", "MSGFILE", "MSGGEN", "REPEAT"})
 _EXPECTATIONS = frozenset({"EXPECT-MAC", "EXPECT-PRELUDE", "EXPECT-TRACE"})
 
-_Row = tuple[int, str, list[str]]  # line number, directive, arguments
+_Row = tuple[int, str, str]  # line number, directive, the rest of the line trimmed
 
 
 def _split_cases(text: str) -> Iterator[tuple[list[_Row], int]]:
@@ -455,14 +459,14 @@ def _split_cases(text: str) -> Iterator[tuple[list[_Row], int]]:
     number = 0
     # Lines end at \n, \r\n or \r, not at the other breaks str.splitlines knows.
     for number, raw in enumerate(io.StringIO(text, newline=None), 1):
-        fields = raw.split()
+        fields = raw.split(maxsplit=1)
         if not fields or fields[0].startswith("#"):
             continue
         directive = fields[0]
         if rows and (directive == "CASE" or (has_expectation and directive in _BODY)):
             yield rows, number
             rows, has_expectation = [], False
-        rows.append((number, directive, fields[1:]))
+        rows.append((number, directive, fields[1].rstrip() if len(fields) > 1 else ""))
         has_expectation = has_expectation or directive in _EXPECTATIONS
     if rows:
         yield rows, number
@@ -472,7 +476,7 @@ def _build_case(rows: list[_Row], end_line: int, default_name: str) -> VectorCas
     """Check each row against the directive table, then the whole case."""
     kinds: dict[str, str] = {}  # slot: the directive that filled it
     values: dict[str, object] = {}
-    for number, directive, args in rows:
+    for number, directive, rest in rows:
         if directive not in _DIRECTIVES:
             raise VectorFormatError("unknown directive %r" % directive, number)
         slot, (fewest, most), usage, convert = _DIRECTIVES[directive]
@@ -483,10 +487,11 @@ def _build_case(rows: list[_Row], end_line: int, default_name: str) -> VectorCas
                 raise VectorFormatError("case already has a message source", number)
             if directive != "MSGHEX":
                 raise VectorFormatError("duplicate %s" % directive, number)
-        if len(args) < fewest or (most is not None and len(args) > most):
+        n_args = len(rest.split())
+        if n_args < fewest or (most is not None and n_args > most):
             raise VectorFormatError(usage, number)
         try:
-            value = convert(args)
+            value = convert(rest)
         except ValueError as err:
             raise VectorFormatError(str(err) or usage, number) from None
         if directive == "MSGHEX":  # repeatable: the parts concatenate

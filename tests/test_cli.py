@@ -16,12 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maa32
-from maa32 import cli
+from maa32 import cli, core
 from maa32.core import MAX_MESSAGE_BYTES, Key, mac, mac_bytes, make_message, prelude, trace_lines
 from test_core import edge_messages, mixed_keys, stepwise_mac
 
 KEY = "E6A12F07:9D15C437"
 KEY_OBJ = Key(0xE6A12F07, 0x9D15C437)
+# The commands that read a message, with their required options.
+INPUT_COMMANDS = [
+    ["mac", "--key", KEY],
+    ["verify", "--key", KEY, "--mac", "00000000"],
+    ["trace", "--key", KEY],
+]
 SRC_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maa32"
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 # How a FAIL detail shows the first line of MSGGEN 1's trace under KEY.
@@ -38,6 +44,11 @@ def run_cli(*args, stdin: bytes = b"", cwd=None, timeout=120):
         cwd=cwd,
         timeout=timeout,
     )
+
+
+def too_long(n_bytes):
+    """The stderr line of a message of n_bytes refused for its length."""
+    return b"message has %d bytes; limit is %d\n" % (n_bytes, MAX_MESSAGE_BYTES)
 
 
 def blocks_to_bytes(blocks):
@@ -69,15 +80,30 @@ def run_probed(*args):
     return code, out, err, rss_kib / 1024
 
 
-def run_main(*argv, stdin: bytes = b""):
-    """cli.main in this process: its exit code, stdout bytes and stderr text."""
+def run_main(*argv, stdin: bytes | io.TextIOBase | None = b""):
+    """cli.main in this process: its exit code, stdout bytes and stderr text.
+
+    stdin is the bytes of a seekable standard input, or the stream to use
+    as one (None: closed).
+    """
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()
-    fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-    with mock.patch.multiple(sys, stdin=fake_stdin, stdout=out, stderr=err):
+    if isinstance(stdin, bytes):
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    with mock.patch.multiple(sys, stdin=stdin, stdout=out, stderr=err):
         code = cli.main(list(argv))
         out.flush()
     return code, out.buffer.getvalue(), err.getvalue()
+
+
+class CountedReader(io.BufferedReader):
+    """A buffered reader that counts the reads made of it."""
+
+    n_reads = 0
+
+    def read(self, size=-1):
+        self.n_reads += 1
+        return super().read(size)
 
 
 def test_subprocess_imports_the_checkout_from_any_cwd(tmp_path):
@@ -265,6 +291,64 @@ class TestStreamReader:
         proc = run_cli("mac", "--key", KEY, stdin=bytes(MAX_MESSAGE_BYTES + 1))
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == b""
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_redirected_file_over_the_cap_is_refused_as_the_named_file_is(self, tmp_path, argv):
+        # Standard input was counted as it was read: 1M blocks of kernel,
+        # then "message has 4000768 bytes" (3999997 for trace).
+        path = tmp_path / "big.bin"
+        with path.open("wb") as fh:
+            fh.truncate(40 * 2**20)
+        named = run_cli(*argv, str(path))
+        with path.open("rb") as fh:
+            redirected = subprocess.run(
+                [sys.executable, "-m", "maa32", *argv], stdin=fh, capture_output=True, timeout=120
+            )
+        for proc in named, redirected:
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", too_long(41943040))
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_redirected_file_over_the_cap_is_not_read(self, tmp_path, argv):
+        # In process: no read of standard input and no segment authenticated
+        # (about 3,900 of each when it was counted as it was read).
+        path = tmp_path / "over.bin"
+        path.write_bytes(bytes(MAX_MESSAGE_BYTES + 1))
+        reader = CountedReader(io.FileIO(path))
+        with io.TextIOWrapper(reader, encoding="utf-8") as stdin:
+            with mock.patch.object(core, "process_segment", wraps=core.process_segment) as kernel:
+                code, out, err = run_main(*argv, stdin=stdin)
+        assert (code, out) == (3, b"")
+        assert err == too_long(MAX_MESSAGE_BYTES + 1).decode()
+        assert (reader.n_reads, kernel.call_count) == (0, 0)
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_pipe_over_the_cap_is_counted_as_it_is_read(self, argv):
+        # mac and verify stop at the first 1024-byte read past the cap; trace
+        # reads one byte past it.
+        counted = MAX_MESSAGE_BYTES + 1 if argv[0] == "trace" else 4000768
+        proc = run_cli(*argv, stdin=bytes(4000768))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", too_long(counted))
+
+    def test_standard_input_is_sized_from_its_offset(self, tmp_path):
+        # 4 bytes already consumed: the rest is one byte over the cap, or
+        # below it, and then the MAC is that of the rest.
+        over, short = tmp_path / "over.bin", tmp_path / "short.bin"
+        over.write_bytes(b"skip" + bytes(MAX_MESSAGE_BYTES + 1))
+        short.write_bytes(b"skipabcdefgh")
+        accepted = "%08X\n" % mac_bytes(KEY_OBJ, b"abcdefgh")
+        refused = too_long(MAX_MESSAGE_BYTES + 1).decode()
+        for path, want in (over, (3, "", refused)), (short, (0, accepted, "")):
+            with path.open("rb") as fh:
+                fh.seek(4)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "maa32", "mac", "--key", KEY],
+                    stdin=fh, capture_output=True, encoding="utf-8", timeout=120,
+                )
+            assert (proc.returncode, proc.stdout, proc.stderr) == want
+            with io.TextIOWrapper(path.open("rb"), encoding="utf-8") as stdin:
+                assert stdin.buffer.read(4) == b"skip"  # buffered: the descriptor is further on
+                code, out, err = run_main("mac", "--key", KEY, stdin=stdin)
+            assert (code, out.decode(), err) == want
 
     def test_directory_input_is_io_error(self, tmp_path):
         proc = run_cli("mac", "--key", KEY, str(tmp_path))
@@ -522,6 +606,27 @@ class TestSelftestCommand:
         proc = run_cli("selftest", "--vectors", str(tmp_path / "good.mvt"), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "PASS local" in proc.stdout.decode()
+
+    @pytest.mark.parametrize("name", ["two  spaces", "tab\tname"], ids=["two-spaces", "tab"])
+    def test_names_and_paths_keep_their_inner_whitespace(self, tmp_path, name):
+        # Rebuilt from their words, both cases SKIPped as "missing file:
+        # two spaces.bin" and selftest exited 0 without running them.
+        blocks = make_message(2)
+        (tmp_path / (name + ".bin")).write_bytes(blocks_to_bytes(blocks))
+        (tmp_path / (name + ".trace")).write_bytes(
+            b"".join(trace_lines(prelude(KEY_OBJ), [blocks]))
+        )
+        (tmp_path / "s.mvt").write_text(
+            "CASE {0} mac\nKEY {1} {2}\nMSGFILE {0}.bin\nEXPECT-MAC {3:08X}\n"
+            "CASE {0} trace\nKEY {1} {2}\nMSGFILE {0}.bin\nEXPECT-TRACE {0}.trace\n"
+            .format(name, KEY[:8], KEY[9:], mac(KEY_OBJ, blocks)),
+            encoding="utf-8",
+        )
+        proc = run_cli("selftest", "--vectors", "s.mvt", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        *_, mac_case, trace_case, totals = proc.stdout.decode().splitlines()
+        assert (mac_case, trace_case) == ("PASS %s mac" % name, "PASS %s trace" % name)
+        assert totals == "passed=22 failed=0 skipped=1"
 
     def test_corrupted_vector_file_exits_4(self, tmp_path):
         (tmp_path / "bad.mvt").write_text(
@@ -960,9 +1065,11 @@ class TestTextOnlyStreams:
     """cli.main in this process with StringIO streams, which have no .buffer
     and no file descriptor, as the benchmark's traced run calls it."""
 
-    def run(self, *argv):
+    def run(self, *argv, stdin=""):
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+            sys, "stdin", io.StringIO(stdin)
+        ):
             code = cli.main(list(argv))
         return code, out.getvalue(), err.getvalue()
 
@@ -984,6 +1091,28 @@ class TestTextOnlyStreams:
         code, out, err = self.run("mac", "--key", KEY, str(tmp_path / "over.bin"))
         assert (code, out) == (3, "")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["gen", "--blocks", "3"], "standard output is text only\n"),
+            (["trace", "--key", KEY, "m.bin"], "standard output is text only\n"),
+            (["mac", "--key", KEY, "-"], "standard input is text only\n"),
+        ],
+        ids=["gen", "trace", "mac-stdin"],
+    )
+    def test_bytes_through_a_text_stream_exit_2(self, monkeypatch, tmp_path, argv, err):
+        # Each raised AttributeError: '_io.StringIO' object has no attribute 'buffer'.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        assert self.run(*argv, stdin="abcdefgh") == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [["gen", "--blocks", "3"], ["trace", "--key", KEY, "m.bin"]])
+    def test_output_file_needs_no_bytes_from_stdout(self, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.bin").write_bytes(b"abcdefgh")
+        assert self.run(*argv, "-o", "out") == (0, "", "")
+        assert (tmp_path / "out").stat().st_size > 0
 
 
 @pytest.mark.parametrize("argv", [["gen", "--blocks", "3"], ["trace", "--key", KEY, "m.bin"]])
@@ -1057,37 +1186,78 @@ fuzz_argv = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(
 )
 
 
+def piped(data):
+    """A text stdin over a pipe that holds data, its write end closed: it cannot seek."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    return io.TextIOWrapper(open(read_end, "rb"), encoding="utf-8")
+
+
+# The standard streams a fuzzed run draws: a stdin made from the drawn
+# bytes, which can seek, cannot seek, has no bytes or is closed, and a
+# stdout with bytes, without or closed.
+FUZZ_STDINS = {
+    "file": lambda data: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+    "pipe": piped,
+    "text": lambda data: io.StringIO(data.decode("latin-1")),
+    "closed": lambda data: None,
+}
+FUZZ_STDOUTS = {
+    "bytes": lambda: io.TextIOWrapper(io.BytesIO(), encoding="utf-8"),
+    "text": io.StringIO,
+    "closed": lambda: None,
+}
+
+
+def written(stdout):
+    """What a FUZZ_STDOUTS stream holds, as bytes."""
+    if isinstance(stdout, io.TextIOWrapper):
+        stdout.flush()
+        return stdout.buffer.getvalue()
+    return stdout.getvalue().encode() if stdout is not None else b""
+
+
 class TestMainFuzz:
     @given(
         fuzz_argv,
         st.integers(-2, 600),
         st.sampled_from([b"", b"abcdefgh", b"4245 0A0A", b"zz", b"\xff\xfe"]),
+        st.tuples(st.sampled_from(sorted(FUZZ_STDINS)), st.sampled_from(sorted(FUZZ_STDOUTS))),
     )
     @settings(max_examples=300, deadline=None)
-    def test_only_exit_codes_come_out(self, tmp_path_factory, argv, n_blocks, stdin):
+    def test_only_exit_codes_come_out(self, tmp_path_factory, argv, n_blocks, data, streams):
         work = tmp_path_factory.mktemp("main")
-        for name, data in FUZZ_FILES.items():
-            (work / name).write_bytes(data)
+        for name, content in FUZZ_FILES.items():
+            (work / name).write_bytes(content)
         (work / "sub").mkdir()
         (work / "loop").symlink_to("loop")
         if argv[0] in ("bench", "gen"):  # the last --blocks wins
             argv = [*argv, "--blocks", str(n_blocks)]
+        stdin, stdout = FUZZ_STDINS[streams[0]](data), FUZZ_STDOUTS[streams[1]]()
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            code, out, _ = run_main(*argv, stdin=stdin)
+            with mock.patch.multiple(sys, stdin=stdin, stdout=stdout, stderr=io.StringIO()):
+                code = cli.main(argv)
         except SystemExit as exit:  # argparse's usage error
             assert exit.code == 2
         else:
+            out = written(stdout)
             if argv[0] != "selftest":
                 assert code in {0, 1, 2, 3, 4}
-            else:  # a whole report, exactly when every vector file parses
+            else:  # a whole report, exactly when stdout is open and every vector file parses
                 named = {argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == "--vectors"}
-                assert code in ({2} if named - PARSING_FUZZ_FILES else {0, 4})
+                refused = named - PARSING_FUZZ_FILES or stdout is None
+                assert code in ({2} if refused else {0, 4})
                 last = (out.splitlines() or [b""])[-1]
                 assert last.startswith(b"passed=") == (code in {0, 4}), out
+            if code in {2, 3}:  # refused: stdout holds nothing
+                assert out == b"", (code, out)
         finally:
             os.chdir(cwd)
+            if stdin is not None:
+                stdin.close()
 
 
 def test_usage_error_without_command():

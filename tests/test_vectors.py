@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import maa32
 from maa32 import core, vectors
+from maa32.blocks import ConditioningResult
 from maa32.core import Key, mac, make_message
 from maa32.vectors import (
+    ExpectConditioning,
     ExpectMac,
     ExpectPrelude,
     ExpectTrace,
@@ -23,6 +25,7 @@ from maa32.vectors import (
     Repeated,
     VectorCase,
     VectorFormatError,
+    VectorResult,
     builtin_corpus,
     emit_trace,
     parse_vector_file,
@@ -44,16 +47,18 @@ junk_tokens = st.sampled_from(
      "+0000001", "1_000000", "²", "³", "١٢", "٣", "①", "a.bin", "sub dir/m.bin"]
 )
 counts = st.sampled_from(["0", "1", "7", "84", "256", "257", "²", "³", "①", "١٢"])
+# A name or path is one argument, runs of blanks and tabs inside it kept.
+names = st.sampled_from(["a", "b", "two words", "two  spaces", "tab\there", "x \t y"])
 well_formed_args = {
-    "CASE": st.lists(st.sampled_from(["a", "b", "two words"]), min_size=1, max_size=2),
+    "CASE": names.map(lambda name: [name]),
     "KEY": st.lists(hex_words, min_size=2, max_size=2),
     "MSGHEX": st.lists(st.binary(max_size=6).map(bytes.hex), max_size=3),
-    "MSGFILE": st.just(["m.bin"]),
+    "MSGFILE": st.sampled_from(["m.bin", "two  spaces.bin", "tab\tname.bin"]).map(lambda p: [p]),
     "MSGGEN": counts.map(lambda c: [c]),
     "REPEAT": counts.map(lambda c: [c]),
     "EXPECT-MAC": st.lists(hex_words, min_size=1, max_size=1),
     "EXPECT-PRELUDE": st.lists(hex_words, min_size=6, max_size=6),
-    "EXPECT-TRACE": st.just(["golden.trace"]),
+    "EXPECT-TRACE": st.sampled_from(["golden.trace", "two  spaces.trace"]).map(lambda p: [p]),
 }
 
 
@@ -526,6 +531,21 @@ class TestParser:
             parse_vector_text(text)
         assert err.value.line_number == 4
 
+    @given(
+        well_formed_args["CASE"],
+        well_formed_args["MSGFILE"],
+        well_formed_args["EXPECT-TRACE"],
+        st.sampled_from(["", " ", "\t", " \t  "]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_names_and_paths_are_the_rest_of_the_line_trimmed(self, name, path, golden, pad):
+        # Rebuilt from their words, "two  spaces.bin" was "two spaces.bin".
+        lines = [("CASE", *name), ("KEY", "00000001 00000002"), ("MSGFILE", *path),
+                 ("EXPECT-TRACE", *golden)]
+        text = "".join(pad + directive + " " + pad + rest + pad + "\n" for directive, rest in lines)
+        (case,) = parse_vector_text(text)
+        assert case == VectorCase(name[0], Key(1, 2), FileRef(path[0]), ExpectTrace(path=golden[0]))
+
     def test_empty_input_yields_no_cases(self):
         assert parse_vector_text("") == []
         assert parse_vector_text("# only a comment\n\n") == []
@@ -864,8 +884,15 @@ class TestRunner:
             (STANDARD_KEY, None, ExpectTrace("MAC=00000000\n"), "case has no message"),
             (STANDARD_KEY, Generated(1), "EXPECT-MAC 0", "unknown expectation: 'EXPECT-MAC 0'"),
             (STANDARD_KEY, [0], ExpectMac(0), TypeError),
+            (
+                None,
+                None,
+                ExpectConditioning((0x3, 0x60), ConditioningResult(0x01030703, 0x1D3B7761, 0xEE)),
+                "computed=01030703 1D3B7760 EE expected=01030703 1D3B7761 EE",
+            ),
         ],
-        ids=["no-key", "mac-no-message", "trace-no-message", "unknown-expect", "unknown-source"],
+        ids=["no-key", "mac-no-message", "trace-no-message", "unknown-expect", "unknown-source",
+             "conditioning-wrong-word"],
     )
     def test_hand_built_case_guards(self, key, source, expect, detail):
         # Cases the parser cannot produce: each FAILs, but a source of an unknown type raises.
@@ -876,6 +903,31 @@ class TestRunner:
             return
         (result,) = run_vectors([case]).results
         assert (result.status, result.detail) == (vectors.STATUS_FAIL, detail)
+
+    @pytest.mark.parametrize("name", ["two  spaces", "tab\tname"], ids=["two-spaces", "tab"])
+    def test_names_and_paths_keep_their_inner_whitespace(self, tmp_path, name):
+        # Rebuilt from their words, both cases SKIPped: "missing file: two spaces.bin".
+        (tmp_path / (name + ".bin")).write_bytes(b"abcdefgh")
+        (tmp_path / (name + ".trace")).write_text(
+            emit_trace(STANDARD_KEY, [0x61626364, 0x65666768]).render(), encoding="utf-8"
+        )
+        text = textwrap.dedent(
+            """\
+            CASE {0} mac
+            KEY E6A12F07 9D15C437
+            MSGFILE {0}.bin
+            EXPECT-MAC {1:08X}
+            CASE {0} trace
+            KEY E6A12F07 9D15C437
+            MSGFILE {0}.bin
+            EXPECT-TRACE {0}.trace
+            """
+        ).format(name, mac(STANDARD_KEY, [0x61626364, 0x65666768]))
+        report = run_vectors(parse_vector_text(text), base_dir=str(tmp_path))
+        assert report.results == (
+            VectorResult(name + " mac", vectors.STATUS_PASS),
+            VectorResult(name + " trace", vectors.STATUS_PASS),
+        )
 
     def test_too_long_message_is_a_failure_not_a_crash(self, tmp_path):
         case = VectorCase(
