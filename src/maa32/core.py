@@ -271,9 +271,11 @@ def mac_bytes(key: Key, data: bytes) -> int:
 
     Raises MessageTooLong before any other work for more than
     MAX_MESSAGE_BYTES bytes, however many items a bytes-like data holds.
+    A buffer that is not C-contiguous is read, in a copy, in C order.
     """
-    _check_byte_count(memoryview(data).nbytes)
-    return _mac_stream(key, io.BytesIO(data))
+    view = memoryview(data)
+    _check_byte_count(view.nbytes)
+    return _mac_stream(key, io.BytesIO(data if view.c_contiguous else view.tobytes()))
 
 
 def _mac_stream(key: Key, stream: io.BufferedIOBase) -> int:

@@ -1,7 +1,9 @@
 """Test vectors: a builtin corpus, a small file format, a runner, a tracer.
 
-The vector file format is line oriented.  ``#`` starts a comment, blank
-lines are ignored, and every other line is a directive:
+The vector file format is line oriented.  Blank lines are ignored, and so
+is a comment, a line whose first word starts with ``#``; past that word
+``#`` is text (``CASE a # note`` names ``a # note``).  Every other line is
+a directive:
 
     CASE <name>                      start a named case
     KEY <8 hex> <8 hex>              the two key words
@@ -386,11 +388,25 @@ def _first_divergence(computed: Iterator[bytes], expected: Iterator[bytes]) -> s
 
 
 def parse_vector_text(text: str, source_name: str = "<string>") -> list[VectorCase]:
-    """The cases of a vector text; a VectorFormatError names source_name."""
+    """The cases of a vector text, read in one pass; a VectorFormatError names source_name."""
     cases: list[VectorCase] = []
+    case: _Case = {}
+    start = number = 0  # start: the line of the case's first row
     try:
-        for rows, end_line in _split_cases(text):
-            cases.append(_build_case(rows, end_line, "case-%d" % (len(cases) + 1)))
+        # Lines end at \n, \r\n or \r, not at the other breaks str.splitlines knows.
+        for number, raw in enumerate(io.StringIO(text, newline=None), 1):
+            fields = raw.split(maxsplit=1)
+            if not fields or fields[0].startswith("#"):
+                continue
+            directive = fields[0]
+            if case and (directive == "CASE" or ("expect" in case and directive in _BODY)):
+                cases.append(_build_case(case, start, number, len(cases) + 1))
+                case = {}
+            if not case:
+                start = number
+            _add_row(case, number, directive, fields[1].rstrip() if len(fields) > 1 else "")
+        if case:
+            cases.append(_build_case(case, start, number, len(cases) + 1))
     except VectorFormatError as err:
         raise VectorFormatError(err.message, err.line_number, source_name) from None
     return cases
@@ -443,79 +459,57 @@ _DIRECTIVES = {
                      lambda a: ExpectTrace(path=a)),
 }
 _BODY = frozenset({"KEY", "MSGHEX", "MSGFILE", "MSGGEN", "REPEAT"})
-_EXPECTATIONS = frozenset({"EXPECT-MAC", "EXPECT-PRELUDE", "EXPECT-TRACE"})
-
-_Row = tuple[int, str, str]  # line number, directive, the rest of the line trimmed
+_Case = dict[str, tuple[str, object]]  # slot: the directive that filled it, its value
 
 
-def _split_cases(text: str) -> Iterator[tuple[list[_Row], int]]:
-    """Yield each case's rows and the number of the line that ended it.
+def _add_row(case: _Case, number: int, directive: str, rest: str) -> None:
+    """Check a row, the rest of its line trimmed, against the table and the case so far."""
+    if directive not in _DIRECTIVES:
+        raise VectorFormatError("unknown directive %r" % directive, number)
+    slot, (fewest, most), usage, convert = _DIRECTIVES[directive]
+    if slot in case:
+        if slot == "expect":
+            raise VectorFormatError("case already has an expectation", number)
+        if case[slot][0] != directive:
+            raise VectorFormatError("case already has a message source", number)
+        if directive != "MSGHEX":
+            raise VectorFormatError("duplicate %s" % directive, number)
+    n_args = len(rest.split())
+    if n_args < fewest or (most is not None and n_args > most):
+        raise VectorFormatError(usage, number)
+    try:
+        value = convert(rest)
+    except ValueError as err:
+        raise VectorFormatError(str(err) or usage, number) from None
+    if slot in case:  # a further MSGHEX: the parts concatenate
+        value = case[slot][1] + value
+    case[slot] = directive, value
 
-    Lazy, so that a case is built, and its errors raised, before a later
-    line is read.  At end of input the ending line is the text's last line.
-    """
-    rows: list[_Row] = []
-    has_expectation = False
-    number = 0
-    # Lines end at \n, \r\n or \r, not at the other breaks str.splitlines knows.
-    for number, raw in enumerate(io.StringIO(text, newline=None), 1):
-        fields = raw.split(maxsplit=1)
-        if not fields or fields[0].startswith("#"):
-            continue
-        directive = fields[0]
-        if rows and (directive == "CASE" or (has_expectation and directive in _BODY)):
-            yield rows, number
-            rows, has_expectation = [], False
-        rows.append((number, directive, fields[1].rstrip() if len(fields) > 1 else ""))
-        has_expectation = has_expectation or directive in _EXPECTATIONS
-    if rows:
-        yield rows, number
 
+def _build_case(case: _Case, start: int, end_line: int, position: int) -> VectorCase:
+    """Check the whole case that started at line start and ended at end_line."""
 
-def _build_case(rows: list[_Row], end_line: int, default_name: str) -> VectorCase:
-    """Check each row against the directive table, then the whole case."""
-    kinds: dict[str, str] = {}  # slot: the directive that filled it
-    values: dict[str, object] = {}
-    for number, directive, rest in rows:
-        if directive not in _DIRECTIVES:
-            raise VectorFormatError("unknown directive %r" % directive, number)
-        slot, (fewest, most), usage, convert = _DIRECTIVES[directive]
-        if slot in kinds:
-            if slot == "expect":
-                raise VectorFormatError("case already has an expectation", number)
-            if kinds[slot] != directive:
-                raise VectorFormatError("case already has a message source", number)
-            if directive != "MSGHEX":
-                raise VectorFormatError("duplicate %s" % directive, number)
-        n_args = len(rest.split())
-        if n_args < fewest or (most is not None and n_args > most):
-            raise VectorFormatError(usage, number)
-        try:
-            value = convert(rest)
-        except ValueError as err:
-            raise VectorFormatError(str(err) or usage, number) from None
-        if directive == "MSGHEX":  # repeatable: the parts concatenate
-            value = values.get(slot, "") + value
-        kinds[slot], values[slot] = directive, value
+    def value(slot: str, default=None):
+        return case[slot][1] if slot in case else default
 
     def fail(message: str):
-        raise VectorFormatError(message % rows[0][0], end_line)
+        raise VectorFormatError(message % start, end_line)
 
-    key, source, expect = values.get("key"), values.get("source"), values.get("expect")
+    key, source, expect = value("key"), value("source"), value("expect")
     if expect is None:
         fail("case starting at line %d has no expectation")
     if isinstance(source, str):
         if len(source) % 2:
             fail("MSGHEX data has odd length in case starting at line %d")
         source = InlineHex(bytes.fromhex(source))
-    if "repeat" in values:
+    if "repeat" in case:
         if source is None:
             fail("REPEAT without a message source in case starting at line %d")
-        source = Repeated(source, values["repeat"])
+        source = Repeated(source, value("repeat"))
     if key is None:
         fail("case starting at line %d has no KEY")
     if isinstance(expect, (ExpectMac, ExpectTrace)) and source is None:
         fail("case starting at line %d has no message")
     if isinstance(expect, ExpectPrelude) and source is not None:
         fail("prelude case starting at line %d takes no message")
-    return VectorCase(values.get("name", default_name), key, source, expect)
+    return VectorCase(value("name", "case-%d" % position), key, source, expect)

@@ -355,7 +355,7 @@ class TestProcessSegment:
 
     def test_rejects_oversized_unit(self):
         pre = prelude(STANDARD_KEY)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^segment unit longer than 257 blocks$"):
             process_segment(pre, [0] * 258)
         process_segment(pre, [0] * 257)  # chaining block + full segment is fine
 
@@ -432,6 +432,22 @@ class TestKernelRepresentatives:
         pre = PreludeOutput(x0, y0, v0, w, s if length else m, t)
         assert fold(pre, [m]).y == 0xFFFFFFFF  # the case is reached
         assert process_segment(pre, unit) == coda(fold(pre, unit), pre.w, pre.s, pre.t)
+
+    def test_y_product_of_residue_two(self):
+        """Y ^ M is twice G's inverse modulo 2**32 - 2, so Y becomes 2, not 2**32.
+
+        2 is the least residue the fold keeps as it is.  The prelude is the
+        standard key's with y0 set from G = fix2(E1 + x0) for the one block 0.
+        """
+        pre = prelude(STANDARD_KEY)
+        g = blocks.fix2((pre.e_table[0] + pre.x0) & blocks.MASK)
+        y0 = 2 * pow(g, -1, 2**32 - 2) % (2**32 - 2)
+        assert y0 == 0x03574ECC
+        pre = pre._replace(y0=y0)
+        assert fold(pre, [0]).y == 2  # the case is reached
+        assert process_segment(pre, [0]) == 0x95E5F05A
+        assert coda(fold(pre, [0]), pre.w, pre.s, pre.t) == 0x95E5F05A
+        assert model.MAC(0, 0, [0], prelude=tuple(pre)) == 0x95E5F05A
 
 
 class TestKeyCaches:
@@ -695,8 +711,9 @@ class TestMac:
         )
 
     def test_rejects_out_of_range_blocks(self):
-        with pytest.raises(ValueError):
-            mac(STANDARD_KEY, [0, 2**32])
+        for message in ([2**32], [0, 2**32]):  # exactly 2**32, alone and after a block
+            with pytest.raises(ValueError, match="^block out of 32-bit range: 4294967296$"):
+                mac(STANDARD_KEY, message)
 
     @pytest.mark.parametrize("bad", [1.0, True, -1, "1", None])
     def test_rejects_non_int_blocks(self, bad):
@@ -720,6 +737,12 @@ class TestMac:
     def test_multibyte_items_are_authenticated_as_their_bytes(self):
         data = bytes(range(256)) * 5
         assert mac_bytes(STANDARD_KEY, memoryview(data).cast("Q")) == mac_bytes(STANDARD_KEY, data)
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_a_strided_buffer_is_authenticated_as_its_bytes_in_c_order(self, step):
+        view = memoryview(bytes(range(256)) * 5)[::step]
+        assert not view.c_contiguous
+        assert mac_bytes(STANDARD_KEY, view) == mac_bytes(STANDARD_KEY, view.tobytes())
 
     def test_key_sensitivity(self):
         msg = make_message(10)

@@ -98,6 +98,61 @@ mvt_texts = st.builds(
 )
 
 
+# Well-formed cases for the round trip: names and paths hold blanks, tabs
+# and "#", which is text past a line's first word.
+round_trip_names = st.sampled_from(
+    ["a", "two  words", "tab\there", "a # note", "#first", "x\t#\ty"]
+)
+round_trip_paths = st.sampled_from(["m.bin", "two  spaces.bin", "tab\tname.bin", "a#b.bin", "# c"])
+
+
+@st.composite
+def round_trip_cases(draw):
+    """The lines of a well-formed case and the VectorCase they denote, named None if unnamed.
+
+    The body rows come in any order, MSGHEX parts (empty ones included) in
+    their own; the expectation comes last.
+    """
+    name = draw(st.none() | round_trip_names)
+    key = Key(draw(u32), draw(u32))
+    rows = ["KEY %08X %08x" % key]
+    kind = draw(st.sampled_from(["EXPECT-MAC", "EXPECT-TRACE", "EXPECT-PRELUDE"]))
+    source = None
+    if kind != "EXPECT-PRELUDE":
+        leaf = draw(st.sampled_from(["MSGHEX", "MSGFILE", "MSGGEN"]))
+        if leaf == "MSGHEX":
+            data = draw(st.binary(max_size=8))
+            digits = draw(st.sampled_from([str.lower, str.upper]))(data.hex())
+            cuts = sorted(draw(st.lists(st.integers(0, len(digits)), max_size=3)))
+            rows += ["MSGHEX " + digits[i:j] for i, j in zip([0, *cuts], [*cuts, len(digits)])]
+            source = InlineHex(data)
+        elif leaf == "MSGFILE":
+            path = draw(round_trip_paths)
+            rows.append("MSGFILE " + path)
+            source = FileRef(path)
+        else:
+            n_blocks = draw(st.integers(0, 600))
+            rows.append("MSGGEN %d" % n_blocks)
+            source = Generated(n_blocks)
+        if draw(st.booleans()):
+            count = draw(st.integers(1, 9))
+            rows.append("REPEAT %d" % count)
+            source = Repeated(source, count)
+    if kind == "EXPECT-MAC":
+        expect = ExpectMac(draw(u32))
+        last = "EXPECT-MAC %08X" % expect.value
+    elif kind == "EXPECT-TRACE":
+        expect = ExpectTrace(path=draw(round_trip_paths))
+        last = "EXPECT-TRACE " + expect.path
+    else:
+        expect = ExpectPrelude(tuple(draw(st.lists(u32, min_size=6, max_size=6))))
+        last = "EXPECT-PRELUDE " + " ".join(map("%08X".__mod__, expect.values))
+    parts = iter([row for row in rows if row.startswith("MSGHEX")])
+    body = [next(parts) if row.startswith("MSGHEX") else row for row in draw(st.permutations(rows))]
+    lines = ([] if name is None else ["CASE " + name]) + body + [last]
+    return lines, VectorCase(name, key, source, expect)
+
+
 # Message source trees: a leaf (0-9 inline bytes, so 0-3 pad bytes; 0-600
 # generated blocks; or a file of FILE_SIZES) under up to three REPEATs.
 FILE_SIZES = {"empty.bin": 0, "three.bin": 3, "segment.bin": 1024, "segment-plus-5.bin": 1029}
@@ -546,6 +601,21 @@ class TestParser:
         (case,) = parse_vector_text(text)
         assert case == VectorCase(name[0], Key(1, 2), FileRef(path[0]), ExpectTrace(path=golden[0]))
 
+    @given(
+        st.lists(round_trip_cases(), max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_well_formed_cases_round_trip(self, drawn, newline, final_newline):
+        lines = [line for case_lines, _ in drawn for line in case_lines]
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        want = [
+            case._replace(name=case.name or "case-%d" % i) for i, (_, case) in enumerate(drawn, 1)
+        ]
+        # Compared by repr, since namedtuples of different types can compare equal.
+        assert repr(parse_vector_text(text)) == repr(want)
+
     def test_empty_input_yields_no_cases(self):
         assert parse_vector_text("") == []
         assert parse_vector_text("# only a comment\n\n") == []
@@ -573,6 +643,7 @@ class TestParser:
             ("KEY 00000001 00000002\nREPEAT ³\n", 2, "REPEAT needs a positive count"),
             ("EXPECT-MAC 00000001\n0\n", 2, "unknown directive"),
             ("KEY 00000001 00000002\nMSGGEN 1\n\n# end\n", 4, "no expectation"),
+            ("KEY 00000001 00000002 # std key\n", 1, "KEY needs two 8-digit hex words"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
